@@ -34,12 +34,14 @@ echo "== obs smoke =="
 # A reduced-scale testbed experiment must emit a manifest that parses,
 # validates, survives a JSON round-trip, and carries nonzero scheduler
 # grant/CCA-block/collision counters — proving the obs layer is wired
-# through the controller, schedulers, and CLI end to end.
+# through the controller, schedulers, and CLI end to end — plus nonzero
+# scheduler/joint cache-hit and scratch-reuse counters, proving the
+# kernels' caches are live in a real run.
 obsdir="$(mktemp -d)"
 trap 'rm -rf "$obsdir"' EXIT
 go run ./cmd/blusim -scale 0.05 -metrics "$obsdir/manifest.json" fig10 >/dev/null
 go run ./cmd/blumanifest \
-  -require sched_blu_grants_total,sched_blu_blocked_total,sched_blu_collision_total,sched_pf_grants_total,core_measurement_phases_total,core_speculative_phases_total \
+  -require sched_blu_grants_total,sched_blu_blocked_total,sched_blu_collision_total,sched_pf_grants_total,core_measurement_phases_total,core_speculative_phases_total,sched_blu_cache_hit_total,sched_joint_cache_hit_total,sched_blu_scratch_reuse_total \
   "$obsdir/manifest.json"
 
 echo "== kernel smoke =="
@@ -47,19 +49,15 @@ echo "== kernel smoke =="
 # steady state and byte-identical across cache bounds and parallelism:
 # re-run the AllocsPerRun ceilings and the golden trace tests for both
 # kernels — cold inference and the warm-started §3.7 refresh repair —
-# plus the binary-codec ceilings, then a short blubench
-# scheduler+codec+warm-start run whose BENCH JSON must pass
-# blumanifest's schema check (parse, invariants, round-trip) with all
-# scheduler, codec, warm-start, and observe entries and nonzero
-# cache-hit counters present.
+# plus the binary-codec ceilings. Then vet and smoke-test the benchmark
+# module: bench/ is its own module built against blu/internal/..., so
+# root `go test ./...` does not see it and a change that breaks its
+# build would otherwise first fail in the benchmark pipeline.
 go test $short -run 'TestScheduleSteadyStateAllocs|TestScheduleTraceGolden|TestScheduleTraceCacheBoundInvariance' ./internal/sched/
 go test $short -run 'TestInferAllocCeiling|TestInferTraceGolden|TestDeltaSpecializationsExact|TestWarmStart' ./internal/blueprint/
 go test $short -run 'TestCodecAllocCeiling|TestBinaryCodec' ./internal/serve/
-go run ./cmd/blubench -sched -o "$obsdir/bench_sched.json" >/dev/null
-go run ./cmd/blumanifest -bench \
-  -require-entry Schedule/PF,Schedule/AA,Schedule/BLU,Codec/JSON,Codec/Binary,Infer/WarmStartCold,Infer/WarmStart,Serve/Observe \
-  -require sched_blu_cache_hit_total,sched_joint_cache_hit_total,sched_blu_scratch_reuse_total \
-  "$obsdir/bench_sched.json"
+go -C bench vet ./...
+go -C bench test -short ./...
 
 echo "== chaos smoke =="
 # The fault-injection chaos suite under the race detector (short mode:
@@ -90,8 +88,8 @@ go test -run 'FuzzWindowExportImport' ./internal/access/
 echo "== serve smoke =="
 # The serving layer end to end, race-instrumented: start blud on a
 # loopback port, drive a seeded closed-loop bluload run against it, and
-# require (a) the load report passes blumanifest's BENCH schema check
-# with all three endpoint entries, (b) the embedded server snapshot
+# require (a) the load manifest passes blumanifest's schema check with
+# all three endpoint phases, (b) the embedded server snapshot
 # proves the result cache actually absorbed repeats (nonzero
 # serve_cache_hit_total), and (c) a SIGTERM drain flushes a manifest
 # that validates with the same counters.
@@ -118,8 +116,8 @@ if [ -z "$addr" ]; then
   exit 1
 fi
 "$obsdir/bluload" -addr "$addr" -seed 7 -c 4 -n 200 -o "$obsdir/bench_serve.json" >/dev/null
-go run ./cmd/blumanifest -bench \
-  -require-entry Serve/infer,Serve/joint,Serve/schedule \
+go run ./cmd/blumanifest \
+  -require-phase Serve/infer,Serve/joint,Serve/schedule \
   -require serve_requests_total,serve_cache_hit_total \
   "$obsdir/bench_serve.json"
 # A second, binary-codec run against the same daemon: the infer stream
@@ -127,8 +125,8 @@ go run ./cmd/blumanifest -bench \
 # must negotiate cleanly under race instrumentation and show up in the
 # daemon's serve_binary_total counter.
 "$obsdir/bluload" -addr "$addr" -seed 7 -c 4 -n 120 -codec binary -o "$obsdir/bench_serve_bin.json" >/dev/null
-go run ./cmd/blumanifest -bench \
-  -require-entry Serve/infer \
+go run ./cmd/blumanifest \
+  -require-phase Serve/infer \
   -require serve_requests_total,serve_binary_total \
   "$obsdir/bench_serve_bin.json"
 # A third run drives the streaming refresh loop: observe batches fold
@@ -137,8 +135,8 @@ go run ./cmd/blumanifest -bench \
 # nonzero serve_observe_total and serve_invalidation_total prove
 # batches folded AND moved digests under cached results.
 "$obsdir/bluload" -addr "$addr" -seed 7 -c 4 -n 200 -mix observe -o "$obsdir/bench_serve_obs.json" >/dev/null
-go run ./cmd/blumanifest -bench \
-  -require-entry Serve/infer,Serve/observe \
+go run ./cmd/blumanifest \
+  -require-phase Serve/infer,Serve/observe \
   -require serve_requests_total,serve_observe_total,serve_invalidation_total \
   "$obsdir/bench_serve_obs.json"
 kill -TERM "$blud_pid"
@@ -209,52 +207,13 @@ go run ./cmd/blumanifest \
   -require persist_recovered_total,persist_snapshots_total \
   "$obsdir/blud2_manifest.json"
 
-echo "== state migration smoke =="
-# Cross-version state round-trip on the directory the restart smoke
-# left behind: blustate downgrades every artifact to the v1 on-disk
-# format, and a relaunched (v2) daemon must open the v1 directory in
-# place — logging a nonzero migrated count, carrying nonzero
-# persist_migrated_total into its drain manifest, and answering the
-# same session infer as a byte-identical cache hit, proving the
-# v2 → v1 → v2 rewrite chain loses nothing.
-go build -race -o "$obsdir/blustate" ./cmd/blustate
-"$obsdir/blustate" "$statedir" | grep -q 'snapshot v2' || {
-  echo "ci: restart smoke state dir is not v2" >&2
-  "$obsdir/blustate" "$statedir" >&2; exit 1; }
-"$obsdir/blustate" -to v1 "$statedir" >/dev/null
-"$obsdir/blustate" "$statedir" | grep -q 'snapshot v1' || {
-  echo "ci: blustate -to v1 left a non-v1 snapshot" >&2
-  "$obsdir/blustate" "$statedir" >&2; exit 1; }
-"$obsdir/blud" -addr 127.0.0.1:0 -state "$statedir" \
-  -snapshot-interval 1s -wal-sync 5ms -manifest "$obsdir/blud4_manifest.json" \
-  >"$obsdir/blud4.out" 2>"$obsdir/blud4.err" &
-blud_pid=$!
-addr=""
-for _ in $(seq 1 50); do
-  addr="$(sed -n 's/^blud: listening on //p' "$obsdir/blud4.out")"
-  [ -n "$addr" ] && break
-  sleep 0.2
-done
-[ -n "$addr" ] || { echo "ci: migrated blud never reported its address" >&2; cat "$obsdir/blud4.err" >&2; exit 1; }
-grep -Eq ' [1-9][0-9]* v1 artifacts migrated' "$obsdir/blud4.err" || {
-  echo "ci: migrated blud did not log a nonzero v1 artifact count" >&2
-  cat "$obsdir/blud4.err" >&2; exit 1; }
-"$obsdir/bluprobe" -addr "$addr" -path /v1/infer -body "$obsdir/probe.json" \
-  -require-cache hit -require-body-file "$obsdir/prekill.bin"
-kill -TERM "$blud_pid"
-wait "$blud_pid"
-blud_pid=""
-go run ./cmd/blumanifest \
-  -require persist_migrated_total,persist_recovered_total \
-  "$obsdir/blud4_manifest.json"
-
 echo "== fleet smoke =="
 # The multi-cell shard fleet end to end, race-instrumented and truly
 # multi-process: three blufleet shards on fixed loopback ports (peer
 # URLs pre-wired for cross-shard blueprint exchange) behind one router
 # process. A bluload -cells run drives the per-cell observe/infer mix
 # through the router's proxy path, and after a warm-up pause for
-# exchange rounds a second run's report must carry Fleet/* entries plus
+# exchange rounds a second run's manifest must carry Fleet/* phases plus
 # nonzero routing, exchange, and border-dedup counters (the router's
 # /metrics aggregates the shard snapshots, so the exchange counters
 # cross process boundaries to get there). Then the crash drill: one
@@ -307,8 +266,8 @@ fi
 sleep 1.2
 "$obsdir/bluload" -addr "$faddr" -cells 3 -seed 1 -c 4 -n 150 -mix observe \
   -o "$obsdir/bench_fleet.json" >/dev/null
-go run ./cmd/blumanifest -bench \
-  -require-entry Fleet/infer,Fleet/observe,Fleet/joint,Fleet/schedule \
+go run ./cmd/blumanifest \
+  -require-phase Fleet/infer,Fleet/observe,Fleet/joint,Fleet/schedule \
   -require fleet_routed_total,fleet_exchange_rounds_total,fleet_exchange_published_total,fleet_border_dedup_total \
   "$obsdir/bench_fleet.json"
 # The merged global interference map must answer through the router.

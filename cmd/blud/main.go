@@ -172,8 +172,8 @@ func run(args []string) error {
 	}
 	if *stateDir != "" {
 		fmt.Fprintf(os.Stderr,
-			"blud: recovered %d snapshot sessions + %d WAL records from %s (%d corrupt dropped, %d v1 artifacts migrated)\n",
-			recovered.SnapshotRecords, recovered.WALReplayed, *stateDir, recovered.CorruptDropped, recovered.Migrated)
+			"blud: recovered %d snapshot sessions + %d WAL records from %s (%d corrupt dropped)\n",
+			recovered.SnapshotRecords, recovered.WALReplayed, *stateDir, recovered.CorruptDropped)
 	}
 	bound, err := s.Listen(*addr)
 	if err != nil {

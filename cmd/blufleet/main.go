@@ -212,8 +212,8 @@ func runShard(dir fleet.Directory, name string, shards, replicas int, addr, stat
 	}
 	if stateDir != "" && recovered != nil {
 		fmt.Fprintf(os.Stderr,
-			"blufleet: shard %s recovered %d snapshot sessions + %d WAL records from %s (%d v1 artifacts migrated)\n",
-			name, recovered.SnapshotRecords, recovered.WALReplayed, stateDir, recovered.Migrated)
+			"blufleet: shard %s recovered %d snapshot sessions + %d WAL records from %s\n",
+			name, recovered.SnapshotRecords, recovered.WALReplayed, stateDir)
 	}
 	bound, err := sh.Listen(addr)
 	if err != nil {

@@ -33,7 +33,7 @@
 //	             plus joint/schedule cycled across cells round-robin.
 //	             The cell directory is derived from (-cells, -seed), the
 //	             same derivation blufleet uses, so membership agrees
-//	             with the fleet without shared files. Report entries are
+//	             with the fleet without shared files. Manifest phases are
 //	             named Fleet/* and the embedded /metrics snapshot is the
 //	             router's fleet-wide aggregate.
 //	-codec c     infer wire codec: json (default) or binary — binary
@@ -43,11 +43,13 @@
 //	             the observe mix, binary applies to the observe frames;
 //	             session infers stay JSON so the cache/invalidation
 //	             path is driven identically under both codecs.
-//	-o file      write an obs.BenchReport JSON (entries Serve/infer,
-//	             Serve/joint, Serve/schedule, and Serve/observe in the
-//	             observe mix; the server's /metrics snapshot is
-//	             embedded so its serve_cache_* and serve_observe_*
-//	             counters ride along)
+//	-o file      write an obs.Manifest JSON: one phase per endpoint
+//	             (Serve/infer, Serve/joint, Serve/schedule, and
+//	             Serve/observe in the observe mix) whose detail carries
+//	             n/mean/p50/p90/p99 and whose duration is the summed
+//	             request time; the server's /metrics snapshot is the
+//	             manifest's metrics, so its serve_cache_* and
+//	             serve_observe_* counters ride along
 //
 // Exit status is nonzero when any request fails (transport error or a
 // status other than 200/429/307; 429s are backpressure and 307s are
@@ -71,7 +73,6 @@ import (
 	"io"
 	"net/http"
 	"os"
-	"runtime"
 	"sort"
 	"strconv"
 	"strings"
@@ -127,8 +128,8 @@ type payloadPool struct {
 	seedQ       []string
 }
 
-// entryName renders an endpoint's bench-report name: Serve/* against a
-// single daemon, Fleet/* through a router.
+// entryName renders an endpoint's manifest phase name: Serve/* against
+// a single daemon, Fleet/* through a router.
 func (p *payloadPool) entryName(ep int) string {
 	if p.fleet {
 		return "Fleet/" + strings.TrimPrefix(epNames[ep], "Serve/")
@@ -474,7 +475,7 @@ func run(args []string) error {
 	mix := fs.String("mix", "default", "traffic mix: default or observe")
 	cells := fs.Int("cells", 0, "fleet mode: per-cell mix over this many cells through a blufleet router (0 = single daemon)")
 	codec := fs.String("codec", "json", "infer wire codec: json or binary")
-	out := fs.String("o", "", "write an obs.BenchReport JSON to this file")
+	out := fs.String("o", "", "write an obs.Manifest JSON to this file")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -527,6 +528,8 @@ func run(args []string) error {
 			return fmt.Errorf("session pre-seed %d: %w", i, err)
 		}
 	}
+	man := obs.NewManifest("bluload", args)
+	man.Seed = *seed
 	var next atomic.Int64
 	start := time.Now()
 	deadline := time.Time{}
@@ -648,12 +651,6 @@ func run(args []string) error {
 		totalOK, merged.rejected, merged.fenced, merged.retried, merged.failed, wall.Round(time.Millisecond),
 		float64(totalOK)/wall.Seconds())
 
-	report := &obs.BenchReport{
-		GoVersion:   runtime.Version(),
-		GitDescribe: obs.GitDescribe(),
-		GOMAXPROCS:  runtime.GOMAXPROCS(0),
-		Note:        fmt.Sprintf("bluload seed=%d c=%d mix=%s cells=%d codec=%s against %s", *seed, *conc, *mix, *cells, *codec, *addr),
-	}
 	for ep := 0; ep < numEndpoints; ep++ {
 		lats := merged.latencies[ep]
 		if len(lats) == 0 {
@@ -671,34 +668,23 @@ func run(args []string) error {
 		p50, _ := stats.Percentile(lats, 50)
 		p90, _ := stats.Percentile(lats, 90)
 		p99, _ := stats.Percentile(lats, 99)
-		fmt.Printf("  %-16s n=%-5d mean=%.2fms p50=%.2fms p90=%.2fms p99=%.2fms\n",
-			pool.entryName(ep), len(lats), mean, p50, p90, p99)
-		report.Entries = append(report.Entries, obs.BenchEntry{
-			Name:       pool.entryName(ep),
-			Iterations: len(lats),
-			NsPerOp:    int64(mean * float64(time.Millisecond)),
-			MsPerOp:    mean,
-		})
+		detail := fmt.Sprintf("n=%d mean=%.2fms p50=%.2fms p90=%.2fms p99=%.2fms", len(lats), mean, p50, p90, p99)
+		fmt.Printf("  %-16s %s\n", pool.entryName(ep), detail)
+		man.AddPhase(pool.entryName(ep), detail, time.Duration(sum*float64(time.Millisecond)))
 	}
 
-	// Embed the server's own metric snapshot: the serve_cache_* and
-	// queue counters live in the daemon process, and this is how they
-	// reach the bench file for ci.sh to assert on.
+	// The manifest's metrics are the server's snapshot, not this
+	// process's: the serve_cache_* and queue counters live in the daemon,
+	// and this is how they reach the file for ci.sh to assert on.
+	man.Finish()
 	if snap, err := fetchMetrics(base); err != nil {
 		fmt.Fprintf(os.Stderr, "bluload: metrics fetch failed: %v\n", err)
 	} else {
-		report.Metrics = *snap
+		man.Metrics = *snap
 	}
 
 	if *out != "" {
-		if err := report.Validate(); err != nil {
-			return fmt.Errorf("report invalid: %w", err)
-		}
-		data, err := json.MarshalIndent(report, "", "  ")
-		if err != nil {
-			return err
-		}
-		if err := os.WriteFile(*out, append(data, '\n'), 0o644); err != nil {
+		if err := man.Write(*out); err != nil {
 			return err
 		}
 		fmt.Printf("bluload: report written to %s\n", *out)

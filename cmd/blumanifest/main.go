@@ -1,15 +1,13 @@
-// Command blumanifest validates the JSON artifacts the tooling writes:
-// run manifests from blusim/blutopo/blubench (-metrics) and BENCH
-// reports from blubench (-o). CI uses it to gate on artifact
-// integrity: the file must parse, survive a marshal → parse round-trip
-// unchanged, pass the obs invariants, and — when -require /
-// -require-entry is given — carry the named counters or benchmark
-// entries.
+// Command blumanifest validates the run manifests the tooling writes:
+// blusim/blutopo (-metrics), blud/blufleet (-manifest) and bluload
+// (-o). CI uses it to gate on artifact integrity: the file must parse,
+// survive a marshal → parse round-trip unchanged, pass the obs
+// invariants, and — when -require / -require-phase is given — carry
+// the named nonzero counters and the named phases.
 //
 // Usage:
 //
-//	blumanifest [-require counter,counter,...] manifest.json
-//	blumanifest -bench [-require-entry name,name,...] bench.json
+//	blumanifest [-require counter,...] [-require-phase name,...] manifest.json
 //
 // Exit status is nonzero on any failure, with the reason on stderr.
 package main
@@ -20,6 +18,7 @@ import (
 	"fmt"
 	"os"
 	"reflect"
+	"slices"
 	"strings"
 
 	"blu/internal/obs"
@@ -35,13 +34,12 @@ func main() {
 func run(args []string) error {
 	fs := flag.NewFlagSet("blumanifest", flag.ContinueOnError)
 	require := fs.String("require", "", "comma-separated counters that must be present and nonzero")
-	bench := fs.Bool("bench", false, "validate an obs.BenchReport instead of a run manifest")
-	requireEntry := fs.String("require-entry", "", "comma-separated bench entries that must be present (implies -bench)")
+	requirePhase := fs.String("require-phase", "", "comma-separated phases that must be present")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
 	if fs.NArg() != 1 {
-		return fmt.Errorf("usage: blumanifest [-bench] [-require a,b,c] [-require-entry a,b,c] <file.json>")
+		return fmt.Errorf("usage: blumanifest [-require a,b,c] [-require-phase a,b,c] <file.json>")
 	}
 	path := fs.Arg(0)
 
@@ -49,13 +47,10 @@ func run(args []string) error {
 	if err != nil {
 		return err
 	}
-	if *bench || *requireEntry != "" {
-		return checkBench(path, data, splitList(*requireEntry), splitList(*require))
-	}
-	return checkManifest(path, data, splitList(*require))
+	return checkManifest(path, data, splitList(*require), splitList(*requirePhase))
 }
 
-func checkManifest(path string, data []byte, required []string) error {
+func checkManifest(path string, data []byte, required, phases []string) error {
 	var man obs.Manifest
 	if err := json.Unmarshal(data, &man); err != nil {
 		return fmt.Errorf("%s: %w", path, err)
@@ -79,56 +74,8 @@ func checkManifest(path string, data []byte, required []string) error {
 		return fmt.Errorf("%s: manifest does not survive a JSON round-trip", path)
 	}
 
-	if err := requireCounters(path, man.Metrics.Counters, required); err != nil {
-		return err
-	}
-
-	fmt.Printf("%s: ok (tool=%s phases=%d counters=%d)\n",
-		path, man.Tool, len(man.Phases), len(man.Metrics.Counters))
-	return nil
-}
-
-// checkBench validates a blubench BENCH report the same way: parse,
-// invariants, round-trip, then presence of the required entries (and,
-// optionally, required nonzero counters in the embedded snapshot).
-func checkBench(path string, data []byte, entries, counters []string) error {
-	var rep obs.BenchReport
-	if err := json.Unmarshal(data, &rep); err != nil {
-		return fmt.Errorf("%s: %w", path, err)
-	}
-	if err := rep.Validate(); err != nil {
-		return fmt.Errorf("%s: %w", path, err)
-	}
-
-	again, err := json.Marshal(&rep)
-	if err != nil {
-		return err
-	}
-	var rep2 obs.BenchReport
-	if err := json.Unmarshal(again, &rep2); err != nil {
-		return fmt.Errorf("%s: re-parse: %w", path, err)
-	}
-	if !reflect.DeepEqual(rep, rep2) {
-		return fmt.Errorf("%s: bench report does not survive a JSON round-trip", path)
-	}
-
-	for _, name := range entries {
-		if rep.Entry(name) == nil {
-			return fmt.Errorf("%s: required bench entry %q missing", path, name)
-		}
-	}
-	if err := requireCounters(path, rep.Metrics.Counters, counters); err != nil {
-		return err
-	}
-
-	fmt.Printf("%s: ok (bench entries=%d speedups=%d counters=%d)\n",
-		path, len(rep.Entries), len(rep.Speedups), len(rep.Metrics.Counters))
-	return nil
-}
-
-func requireCounters(path string, got map[string]int64, required []string) error {
 	for _, name := range required {
-		v, ok := got[name]
+		v, ok := man.Metrics.Counters[name]
 		if !ok {
 			return fmt.Errorf("%s: required counter %q missing from snapshot", path, name)
 		}
@@ -136,6 +83,14 @@ func requireCounters(path string, got map[string]int64, required []string) error
 			return fmt.Errorf("%s: required counter %q is zero", path, name)
 		}
 	}
+	for _, name := range phases {
+		if !slices.ContainsFunc(man.Phases, func(p obs.PhaseTiming) bool { return p.Name == name }) {
+			return fmt.Errorf("%s: required phase %q missing", path, name)
+		}
+	}
+
+	fmt.Printf("%s: ok (tool=%s phases=%d counters=%d)\n",
+		path, man.Tool, len(man.Phases), len(man.Metrics.Counters))
 	return nil
 }
 

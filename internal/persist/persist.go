@@ -31,6 +31,7 @@
 package persist
 
 import (
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -49,12 +50,6 @@ var (
 	obsSnapshots  = obs.GetCounter("persist_snapshots_total")
 	obsWALAppends = obs.GetCounter("persist_wal_appends_total")
 	obsWALSyncs   = obs.GetCounter("persist_wal_syncs_total")
-	// obsMigrated counts v1-format artifacts (snapshot image, WAL
-	// segments) a v2 daemon read in place — the observable trace of a
-	// cross-version state upgrade. New writes are always current-format,
-	// so the count returns to zero once a snapshot cycle rewrites the
-	// directory.
-	obsMigrated = obs.GetCounter("persist_migrated_total")
 )
 
 // Options tune the group-commit window.
@@ -79,12 +74,18 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
+// ErrRetiredFormat is returned by Open when a snapshot or WAL segment
+// carries an intact header of format version 1. This binary reads and
+// writes v2 only; counting a v1 file as corruption would start the
+// server empty and let the next snapshot/prune cycle overwrite it, so
+// Open refuses instead and leaves the directory untouched.
+var ErrRetiredFormat = errors.New("v1 state format is retired; commit d17bf46 is the last that reads it — open the directory once with that tree to rewrite it as v2")
+
 // RecoverStats reports what Open found on disk.
 type RecoverStats struct {
 	SnapshotRecords int    // snapshot records successfully restored
 	WALReplayed     int    // WAL records successfully replayed
 	CorruptDropped  int    // records and damage events skipped
-	Migrated        int    // v1-format artifacts read by this v2 daemon
 	Cut             uint64 // the loaded snapshot's WAL cut (0 = none)
 	NextLSN         uint64 // first LSN the reopened store will assign
 }
@@ -120,7 +121,8 @@ type Store struct {
 // WAL record at or past the snapshot cut to replay, in LSN order,
 // before Open returns. A callback error drops that record (counted as
 // corrupt) and recovery continues — a record either applies fully or
-// not at all, never halfway.
+// not at all, never halfway. A v1-format artifact fails the whole Open
+// with ErrRetiredFormat before anything in dir is written.
 func Open(dir string, opts Options, restore func(record []byte) error, replay func(lsn uint64, payload []byte) error) (*Store, *RecoverStats, error) {
 	opts = opts.withDefaults()
 	if err := os.MkdirAll(dir, 0o755); err != nil {
@@ -129,6 +131,9 @@ func Open(dir string, opts Options, restore func(record []byte) error, replay fu
 	stats := &RecoverStats{}
 
 	snap, err := loadSnapshot(dir)
+	if errors.Is(err, ErrRetiredFormat) {
+		return nil, nil, fmt.Errorf("persist: %s: %w", SnapshotFile, err)
+	}
 	if err != nil {
 		// An unusable snapshot header means the image tells us nothing,
 		// not that the WAL is gone: count it and recover from the log
@@ -139,9 +144,6 @@ func Open(dir string, opts Options, restore func(record []byte) error, replay fu
 	if snap != nil {
 		stats.Cut = snap.cut
 		stats.CorruptDropped += snap.skipped
-		if snap.legacy {
-			stats.Migrated++
-		}
 		for _, rec := range snap.records {
 			if restore == nil {
 				continue
@@ -154,7 +156,7 @@ func Open(dir string, opts Options, restore func(record []byte) error, replay fu
 		}
 	}
 
-	replayed, skipped, legacySegs, walNext, err := replayWAL(dir, stats.Cut, func(lsn uint64, payload []byte) error {
+	replayed, skipped, walNext, err := replayWAL(dir, stats.Cut, func(lsn uint64, payload []byte) error {
 		if replay == nil {
 			return nil
 		}
@@ -165,7 +167,6 @@ func Open(dir string, opts Options, restore func(record []byte) error, replay fu
 	}
 	stats.WALReplayed = replayed
 	stats.CorruptDropped += skipped
-	stats.Migrated += legacySegs
 
 	next := walNext
 	if stats.Cut > next {
@@ -194,7 +195,6 @@ func Open(dir string, opts Options, restore func(record []byte) error, replay fu
 	if obs.Enabled() {
 		obsRecovered.Add(int64(stats.SnapshotRecords + stats.WALReplayed))
 		obsCorrupt.Add(int64(stats.CorruptDropped))
-		obsMigrated.Add(int64(stats.Migrated))
 	}
 	return s, stats, nil
 }

@@ -3,7 +3,7 @@
 // session plus the WAL cut — the LSN from which replay must resume for
 // the pair (snapshot, WAL) to equal the never-restarted state.
 //
-// v2 file layout (all multi-byte fields little-endian):
+// File layout (all multi-byte fields little-endian):
 //
 //	[4]byte magic "BLUS"
 //	u32    version (2)
@@ -25,10 +25,8 @@
 // is covered by the record CRC, so extensions inherit the same
 // corruption detection as the payload.
 //
-// v1 files (the pre-versioning format: identical layout minus the TLV
-// tail) are still read in full — a v2 daemon opens v1 state in place
-// and counts the migration on persist_migrated_total; the next snapshot
-// rewrite emits v2.
+// Version 1 (the same layout minus the TLV tail) is retired: an image
+// that declares it is refused with ErrRetiredFormat, never read.
 //
 // The image is written tmp-file + fsync + rename + dir-fsync, so a
 // reader only ever sees the previous complete snapshot or the new one.
@@ -48,8 +46,8 @@ import (
 )
 
 const (
-	snapshotVersionV1 = 1
-	snapshotVersion   = 2 // written by encodeSnapshot
+	retiredVersion    = 1 // refused by both decoders, see ErrRetiredFormat
+	snapshotVersion   = 2
 	snapshotHeaderLen = 16 // magic(4) + version(4) + cut(8) ... count follows
 	snapshotFooterLen = 8  // crc(4) + magic(4)
 
@@ -86,7 +84,7 @@ func validTLV(b []byte) bool {
 	return true
 }
 
-// encodeSnapshot renders a complete v2 BLUS image.
+// encodeSnapshot renders a complete BLUS image.
 func encodeSnapshot(cut uint64, records [][]byte) []byte {
 	size := snapshotHeaderLen + 4 + snapshotFooterLen
 	for _, r := range records {
@@ -112,15 +110,16 @@ func encodeSnapshot(cut uint64, records [][]byte) []byte {
 type snapshotScan struct {
 	cut     uint64
 	records [][]byte
-	skipped int  // per-record CRC failures and lost tails, counted
-	legacy  bool // the image was a v1 file (migration accounting)
+	skipped int // per-record CRC failures and lost tails, counted
 }
 
-// decodeSnapshot parses a BLUS image (v1 or v2), salvaging every record
-// whose own CRC verifies. It returns an error only when the header is
-// unusable (wrong magic, unknown version, too short) — then there is no
-// snapshot to speak of; any lesser damage is reported through skipped
-// so the caller can count it without losing the intact sessions.
+// decodeSnapshot parses a BLUS image, salvaging every record whose own
+// CRC verifies. It returns an error only when the header is unusable
+// (wrong magic, unknown version, too short) — then there is no
+// snapshot to speak of — or names the retired version, which the
+// caller must not treat as damage; any lesser damage is reported
+// through skipped so the caller can count it without losing the intact
+// sessions.
 func decodeSnapshot(data []byte) (*snapshotScan, error) {
 	if len(data) < snapshotHeaderLen+4 {
 		return nil, fmt.Errorf("persist: snapshot is %d bytes, header needs %d", len(data), snapshotHeaderLen+4)
@@ -128,14 +127,14 @@ func decodeSnapshot(data []byte) (*snapshotScan, error) {
 	if [4]byte(data[:4]) != snapMagic {
 		return nil, fmt.Errorf("persist: snapshot has bad magic %q", data[:4])
 	}
-	version := binary.LittleEndian.Uint32(data[4:])
-	if version != snapshotVersionV1 && version != snapshotVersion {
-		return nil, fmt.Errorf("persist: snapshot version %d, want %d or %d", version, snapshotVersionV1, snapshotVersion)
+	switch version := binary.LittleEndian.Uint32(data[4:]); version {
+	case snapshotVersion:
+	case retiredVersion:
+		return nil, ErrRetiredFormat
+	default:
+		return nil, fmt.Errorf("persist: snapshot version %d, want %d", version, snapshotVersion)
 	}
-	sc := &snapshotScan{
-		cut:    binary.LittleEndian.Uint64(data[8:]),
-		legacy: version == snapshotVersionV1,
-	}
+	sc := &snapshotScan{cut: binary.LittleEndian.Uint64(data[8:])}
 	count := binary.LittleEndian.Uint32(data[16:])
 
 	body := data
@@ -147,12 +146,9 @@ func decodeSnapshot(data []byte) (*snapshotScan, error) {
 		footerOK = fileCRC == crc32.ChecksumIEEE(body)
 	}
 
-	// Fixed per-record overhead beyond the payload: v1 frames carry
-	// len(4)+crc(4); v2 adds the TLV length prefix (2).
-	overhead := 10
-	if sc.legacy {
-		overhead = 8
-	}
+	// Fixed per-record overhead beyond the payload:
+	// len(4) + tlvLen(2) + crc(4).
+	const overhead = 10
 	off := snapshotHeaderLen + 4
 	for i := uint32(0); i < count; i++ {
 		if len(body)-off < overhead {
@@ -165,17 +161,14 @@ func decodeSnapshot(data []byte) (*snapshotScan, error) {
 			return sc, nil
 		}
 		payload := body[off+4 : off+4+int(plen)]
-		var tlv []byte
 		end := off + 4 + int(plen)
-		if !sc.legacy {
-			tlvLen := int(binary.LittleEndian.Uint16(body[end:]))
-			if tlvLen > maxTLVLen || tlvLen > len(body)-end-6 {
-				sc.skipped += int(count - i) // TLV boundary lost
-				return sc, nil
-			}
-			tlv = body[end+2 : end+2+tlvLen]
-			end += 2 + tlvLen
+		tlvLen := int(binary.LittleEndian.Uint16(body[end:]))
+		if tlvLen > maxTLVLen || tlvLen > len(body)-end-6 {
+			sc.skipped += int(count - i) // TLV boundary lost
+			return sc, nil
 		}
+		tlv := body[end+2 : end+2+tlvLen]
+		end += 2 + tlvLen
 		gotCRC := binary.LittleEndian.Uint32(body[end:])
 		off = end + 4
 		wantCRC := crc32.ChecksumIEEE(payload)

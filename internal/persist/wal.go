@@ -5,7 +5,7 @@
 // where a torn write, truncation, or bit flip starts and skip exactly
 // the damaged records — never a prefix of one.
 //
-// v2 segment layout (all multi-byte fields little-endian):
+// Segment layout (all multi-byte fields little-endian):
 //
 //	[4]byte magic "BLUL"
 //	u32    version (2)
@@ -20,10 +20,9 @@
 // The per-record TLV tail — a sequence of (u8 type, u16 len, bytes)
 // entries, empty in the current writer — is the extension point: a
 // future writer can attach per-record metadata without a container
-// version bump, and readers skip entry types they do not know. v1
-// segments (the same layout minus the TLV tail) are still replayed in
-// full; reading one counts on persist_migrated_total, and every newly
-// opened segment is v2 (read-old/write-new migration).
+// version bump, and readers skip entry types they do not know.
+// Version 1 (the same layout minus the TLV tail) is retired: a segment
+// that declares it fails Open with ErrRetiredFormat, never replayed.
 //
 // LSNs are strictly sequential within the stream: the first record's
 // LSN equals the header's firstLSN and each record increments by one,
@@ -47,13 +46,11 @@ import (
 )
 
 const (
-	walVersionV1 = 1
-	walVersion   = 2 // written by appendWALHeader
+	walVersion   = 2
 	walHeaderLen = 16 // magic(4) + version(4) + firstLSN(8)
 
-	// Fixed per-record overhead beyond the payload, per format version.
-	walFrameLenV1 = 16 // len(4) + lsn(8) + crc(4)
-	walFrameLen   = 18 // len(4) + lsn(8) + tlvLen(2) + crc(4)
+	// Fixed per-record overhead beyond the payload.
+	walFrameLen = 18 // len(4) + lsn(8) + tlvLen(2) + crc(4)
 
 	// maxRecordLen caps a declared payload length, mirroring the serve
 	// layer's body cap so a corrupt length field cannot drive a huge
@@ -83,8 +80,8 @@ func parseSegmentName(name string) (uint64, bool) {
 }
 
 // walRecordCRC checksums what the record protects: the LSN, the
-// payload, and (v2) the TLV tail — the length fields are implied by the
-// framing scan. Pass a nil tail for v1 records.
+// payload, and the TLV tail — the length fields are implied by the
+// framing scan.
 func walRecordCRC(lsn uint64, payload, tlv []byte) uint32 {
 	var hdr [8]byte
 	binary.LittleEndian.PutUint64(hdr[:], lsn)
@@ -93,7 +90,7 @@ func walRecordCRC(lsn uint64, payload, tlv []byte) uint32 {
 	return crc32.Update(c, crc32.IEEETable, tlv)
 }
 
-// appendWALHeader writes a fresh v2 segment header.
+// appendWALHeader writes a fresh segment header.
 func appendWALHeader(b []byte, firstLSN uint64) []byte {
 	b = append(b, walMagic[:]...)
 	b = binary.LittleEndian.AppendUint32(b, walVersion)
@@ -101,7 +98,7 @@ func appendWALHeader(b []byte, firstLSN uint64) []byte {
 	return b
 }
 
-// appendWALRecord frames one v2 record (empty TLV tail) onto b.
+// appendWALRecord frames one record (empty TLV tail) onto b.
 func appendWALRecord(b []byte, lsn uint64, payload []byte) []byte {
 	b = binary.LittleEndian.AppendUint32(b, uint32(len(payload)))
 	b = binary.LittleEndian.AppendUint64(b, lsn)
@@ -116,11 +113,11 @@ type segmentScan struct {
 	replayed int  // records delivered to the callback
 	skipped  int  // CRC-corrupt records skipped in place
 	tailLost bool // framing broke: the rest of the stream is untrusted
-	legacy   bool // the segment was a v1 file (migration accounting)
+	retired  bool // intact header of the retired v1 format: refuse, not damage
 	nextLSN  uint64
 }
 
-// scanSegment replays one segment image (v1 or v2, per its header).
+// scanSegment replays one segment image.
 // expect is the LSN the stream requires the first record to carry (0
 // means "take the header's word", for the first segment). Records with
 // lsn < cut were already folded into the snapshot and are passed over
@@ -132,15 +129,10 @@ func scanSegment(data []byte, expect, cut uint64, fn func(lsn uint64, payload []
 		sc.tailLost = true
 		return sc
 	}
-	version := binary.LittleEndian.Uint32(data[4:])
-	if version != walVersionV1 && version != walVersion {
+	if version := binary.LittleEndian.Uint32(data[4:]); version != walVersion {
 		sc.tailLost = true
+		sc.retired = version == retiredVersion
 		return sc
-	}
-	sc.legacy = version == walVersionV1
-	frameLen := walFrameLen
-	if sc.legacy {
-		frameLen = walFrameLenV1
 	}
 	first := binary.LittleEndian.Uint64(data[8:])
 	if expect != 0 && first != expect {
@@ -152,12 +144,12 @@ func scanSegment(data []byte, expect, cut uint64, fn func(lsn uint64, payload []
 	lsn := first
 	off := walHeaderLen
 	for off < len(data) {
-		if len(data)-off < frameLen {
+		if len(data)-off < walFrameLen {
 			sc.tailLost = true // torn mid-frame
 			break
 		}
 		plen := binary.LittleEndian.Uint32(data[off:])
-		if plen > maxRecordLen || int(plen) > len(data)-off-frameLen {
+		if plen > maxRecordLen || int(plen) > len(data)-off-walFrameLen {
 			sc.tailLost = true // length field unusable: boundary lost
 			break
 		}
@@ -167,17 +159,14 @@ func scanSegment(data []byte, expect, cut uint64, fn func(lsn uint64, payload []
 			break
 		}
 		payload := data[off+12 : off+12+int(plen)]
-		var tlv []byte
 		end := off + 12 + int(plen)
-		if !sc.legacy {
-			tlvLen := int(binary.LittleEndian.Uint16(data[end:]))
-			if tlvLen > maxTLVLen || tlvLen > len(data)-end-6 {
-				sc.tailLost = true // TLV boundary lost
-				break
-			}
-			tlv = data[end+2 : end+2+tlvLen]
-			end += 2 + tlvLen
+		tlvLen := int(binary.LittleEndian.Uint16(data[end:]))
+		if tlvLen > maxTLVLen || tlvLen > len(data)-end-6 {
+			sc.tailLost = true // TLV boundary lost
+			break
 		}
+		tlv := data[end+2 : end+2+tlvLen]
+		end += 2 + tlvLen
 		gotCRC := binary.LittleEndian.Uint32(data[end:])
 		off = end + 4
 		if gotCRC != walRecordCRC(recLSN, payload, tlv) || !validTLV(tlv) {
@@ -218,13 +207,13 @@ func walSegments(dir string) ([]uint64, error) {
 // in LSN order. Segments whose whole range lies below the cut (their
 // successor starts at or before it) are passed over unread, so a
 // corrupt-but-superseded old segment cannot poison recovery of live
-// records. Returns the scan totals, the count of v1-format segments
-// read (migration accounting), and the next LSN the stream would
-// assign.
-func replayWAL(dir string, cut uint64, fn func(lsn uint64, payload []byte) error) (replayed, skipped, legacy int, nextLSN uint64, err error) {
+// records. Returns the scan totals and the next LSN the stream would
+// assign; a retired-format segment fails the replay with
+// ErrRetiredFormat.
+func replayWAL(dir string, cut uint64, fn func(lsn uint64, payload []byte) error) (replayed, skipped int, nextLSN uint64, err error) {
 	firsts, err := walSegments(dir)
 	if err != nil {
-		return 0, 0, 0, 0, err
+		return 0, 0, 0, err
 	}
 	expect := uint64(0)
 	for i, first := range firsts {
@@ -233,14 +222,14 @@ func replayWAL(dir string, cut uint64, fn func(lsn uint64, payload []byte) error
 		}
 		data, rerr := os.ReadFile(filepath.Join(dir, segmentName(first)))
 		if rerr != nil {
-			return replayed, skipped, legacy, nextLSN, rerr
+			return replayed, skipped, nextLSN, rerr
 		}
 		sc := scanSegment(data, expect, cut, fn)
+		if sc.retired {
+			return replayed, skipped, nextLSN, fmt.Errorf("%s: %w", segmentName(first), ErrRetiredFormat)
+		}
 		replayed += sc.replayed
 		skipped += sc.skipped
-		if sc.legacy {
-			legacy++
-		}
 		if sc.nextLSN > nextLSN {
 			nextLSN = sc.nextLSN
 		}
@@ -250,7 +239,7 @@ func replayWAL(dir string, cut uint64, fn func(lsn uint64, payload []byte) error
 		}
 		expect = sc.nextLSN
 	}
-	return replayed, skipped, legacy, nextLSN, nil
+	return replayed, skipped, nextLSN, nil
 }
 
 // pruneWAL deletes segments made redundant by a snapshot at cut: a

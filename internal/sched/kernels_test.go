@@ -341,7 +341,7 @@ func TestScheduleResultIndependentOfScratch(t *testing.T) {
 var sink *lte.Schedule
 
 // BenchmarkScheduleKernel is the in-package view of the scheduler hot
-// path (cmd/blubench and bench_test.go carry the end-to-end variants).
+// path (the root bench_test.go carries the whole-cell variants).
 func BenchmarkScheduleKernel(b *testing.B) {
 	env := kernelEnv()
 	calc := joint.NewCalculator(kernelTopology())

@@ -204,100 +204,125 @@ func (s *Server) encodeSessionRecord(sess *session) []byte {
 	return w.b
 }
 
-// restoreSessionRecord decodes one snapshot record and installs the
-// session. Every structural check failing — and a restored window
-// whose recomputed canonical digest disagrees with the recorded one —
-// rejects the record whole; persist counts it corrupt and recovery
-// continues with the remaining sessions.
+// cachedBody is one minted cache entry carried inside a session record.
+type cachedBody struct {
+	key  uint64
+	body []byte
+}
+
+// restoreSessionRecord is the snapshot-restore callback: decode one
+// record and install the session. A rejected record is counted corrupt
+// by persist and recovery continues with the remaining sessions.
 func (s *Server) restoreSessionRecord(rec []byte) error {
+	sess, bodies, err := decodeSessionRecord(rec)
+	if err != nil {
+		return err
+	}
+	return s.installSession(sess, bodies)
+}
+
+// installSession registers a decoded session and re-seats its cached
+// response bodies. A full registry or a live session with the same id
+// refuses the install.
+func (s *Server) installSession(sess *session, bodies []cachedBody) error {
+	if !s.sessions.install(sess) {
+		return fmt.Errorf("session registry full at %q", sess.id)
+	}
+	for _, cb := range bodies {
+		s.cache.put(cb.key, cb.body)
+	}
+	return nil
+}
+
+// decodeSessionRecord decodes and validates one session record without
+// touching any server state. Every structural check failing — and a
+// restored window whose recomputed canonical digest disagrees with the
+// recorded one — rejects the record whole.
+func decodeSessionRecord(rec []byte) (*session, []cachedBody, error) {
 	r := wireReader{b: rec}
 	ver, err := r.u8()
 	if err != nil {
-		return err
+		return nil, nil, err
 	}
 	if ver != sessionRecordVersion {
-		return fmt.Errorf("session record version %d, want %d", ver, sessionRecordVersion)
+		return nil, nil, fmt.Errorf("session record version %d, want %d", ver, sessionRecordVersion)
 	}
 	idLen, err := r.u8()
 	if err != nil {
-		return err
+		return nil, nil, err
 	}
 	if int(idLen) > maxSessionIDLen || r.remaining() < int(idLen) {
-		return fmt.Errorf("session record id length %d", idLen)
+		return nil, nil, fmt.Errorf("session record id length %d", idLen)
 	}
 	id := string(r.b[r.off : r.off+int(idLen)])
 	r.off += int(idLen)
 	if id == "" {
-		return errors.New("session record with empty id")
+		return nil, nil, errors.New("session record with empty id")
 	}
 	digest, err := r.u64()
 	if err != nil {
-		return err
+		return nil, nil, err
 	}
 	hasTopo, err := r.u8()
 	if err != nil {
-		return err
+		return nil, nil, err
 	}
 	var topo *blueprint.Topology
 	if hasTopo == 1 {
 		tn, err := r.u8()
 		if err != nil {
-			return err
+			return nil, nil, err
 		}
 		htCount, err := r.u16()
 		if err != nil {
-			return err
+			return nil, nil, err
 		}
 		topo = &blueprint.Topology{N: int(tn)}
 		for k := 0; k < int(htCount); k++ {
 			q, err := r.f64()
 			if err != nil {
-				return err
+				return nil, nil, err
 			}
 			mask, err := r.u64()
 			if err != nil {
-				return err
+				return nil, nil, err
 			}
 			topo.HTs = append(topo.HTs, blueprint.HiddenTerminal{Q: q, Clients: blueprint.ClientSet(mask)})
 		}
 	} else if hasTopo != 0 {
-		return fmt.Errorf("session record topo flag %d", hasTopo)
+		return nil, nil, fmt.Errorf("session record topo flag %d", hasTopo)
 	}
 	mintedCount, err := r.u16()
 	if err != nil {
-		return err
+		return nil, nil, err
 	}
 	minted := make(map[uint64]struct{}, mintedCount)
-	type cachedBody struct {
-		key  uint64
-		body []byte
-	}
 	var bodies []cachedBody
 	for k := 0; k < int(mintedCount); k++ {
 		key, err := r.u64()
 		if err != nil {
-			return err
+			return nil, nil, err
 		}
 		hasBody, err := r.u8()
 		if err != nil {
-			return err
+			return nil, nil, err
 		}
 		switch hasBody {
 		case 0:
 		case 1:
 			blen, err := r.u32()
 			if err != nil {
-				return err
+				return nil, nil, err
 			}
 			if int(blen) > r.remaining() {
-				return fmt.Errorf("session record body length %d overruns", blen)
+				return nil, nil, fmt.Errorf("session record body length %d overruns", blen)
 			}
 			body := make([]byte, blen)
 			copy(body, r.b[r.off:r.off+int(blen)])
 			r.off += int(blen)
 			bodies = append(bodies, cachedBody{key: key, body: body})
 		default:
-			return fmt.Errorf("session record body flag %d", hasBody)
+			return nil, nil, fmt.Errorf("session record body flag %d", hasBody)
 		}
 		minted[key] = struct{}{}
 	}
@@ -305,35 +330,35 @@ func (s *Server) restoreSessionRecord(rec []byte) error {
 	var st access.WindowState
 	n, err := r.u8()
 	if err != nil {
-		return err
+		return nil, nil, err
 	}
 	st.N = int(n)
 	capacity, err := r.u32()
 	if err != nil {
-		return err
+		return nil, nil, err
 	}
 	st.Capacity = int(capacity)
 	seq, err := r.u64()
 	if err != nil {
-		return err
+		return nil, nil, err
 	}
 	st.Seq = int(seq)
 	epochCount, err := r.u32()
 	if err != nil {
-		return err
+		return nil, nil, err
 	}
 	if int(epochCount) > st.Capacity {
-		return fmt.Errorf("session record has %d epochs for capacity %d", epochCount, st.Capacity)
+		return nil, nil, fmt.Errorf("session record has %d epochs for capacity %d", epochCount, st.Capacity)
 	}
 	for e := 0; e < int(epochCount); e++ {
 		entryCount, err := r.u32()
 		if err != nil {
-			return err
+			return nil, nil, err
 		}
 		// Each encoded entry is 20 bytes; an impossible count fails here
 		// instead of allocating.
 		if r.remaining() < 20*int(entryCount) {
-			return fmt.Errorf("session record epoch %d truncated", e)
+			return nil, nil, fmt.Errorf("session record epoch %d truncated", e)
 		}
 		ep := access.WindowEpochState{Entries: make([]access.WindowObs, entryCount)}
 		for i := range ep.Entries {
@@ -350,10 +375,10 @@ func (s *Server) restoreSessionRecord(rec []byte) error {
 	}
 	lastSeenLen, err := r.u16()
 	if err != nil {
-		return err
+		return nil, nil, err
 	}
 	if r.remaining() != 8*int(lastSeenLen) {
-		return fmt.Errorf("session record freshness truncated or trailing bytes")
+		return nil, nil, fmt.Errorf("session record freshness truncated or trailing bytes")
 	}
 	st.LastSeen = make([]int, lastSeenLen)
 	for i := range st.LastSeen {
@@ -363,25 +388,18 @@ func (s *Server) restoreSessionRecord(rec []byte) error {
 
 	win, err := access.ImportWindow(&st)
 	if err != nil {
-		return err
+		return nil, nil, err
 	}
 	// Integrity gate: the restored window must reproduce the recorded
 	// canonical digest, or the session is not the one that was saved.
 	if got := digestMeasurements(win.Measurements()); got != digest {
-		return fmt.Errorf("session %q restored digest %016x, recorded %016x", id, got, digest)
+		return nil, nil, fmt.Errorf("session %q restored digest %016x, recorded %016x", id, got, digest)
 	}
-	sess := &session{
+	return &session{
 		id:       id,
 		win:      win,
 		digest:   digest,
 		lastTopo: topo,
 		minted:   minted,
-	}
-	if !s.sessions.install(sess) {
-		return fmt.Errorf("session registry full at %q", id)
-	}
-	for _, cb := range bodies {
-		s.cache.put(cb.key, cb.body)
-	}
-	return nil
+	}, bodies, nil
 }

@@ -6,12 +6,7 @@
 // record layout.
 package serve
 
-import (
-	"errors"
-	"fmt"
-
-	"blu/internal/obs"
-)
+import "blu/internal/obs"
 
 var (
 	obsHandoffExported = obs.GetCounter("serve_handoff_exported_total")
@@ -47,20 +42,22 @@ func (s *Server) ExportSessionRecords(match func(id string) bool) []SessionExpor
 // ImportSessionRecord installs one exported session through the same
 // validate + digest-gate path as snapshot restore. An existing session
 // with the same id is replaced (its minted cache keys dropped first),
-// so a retried handoff is idempotent. The import is memory-only; a
-// durable caller should SnapshotNow afterwards to make the transfer
-// crash-safe on this side.
+// so a retried handoff is idempotent — but only once the record has
+// decoded in full: a record this shard refuses leaves the session it
+// already holds, and that session's cached answers, in place. The
+// import is memory-only; a durable caller should SnapshotNow afterwards
+// to make the transfer crash-safe on this side.
 func (s *Server) ImportSessionRecord(rec []byte) error {
-	id, err := peekSessionRecordID(rec)
+	sess, bodies, err := decodeSessionRecord(rec)
 	if err != nil {
 		return err
 	}
 	s.stateMu.Lock()
 	defer s.stateMu.Unlock()
-	if old := s.sessions.remove(id); old != nil {
+	if old := s.sessions.remove(sess.id); old != nil {
 		s.dropSessionKeys(old)
 	}
-	if err := s.restoreSessionRecord(rec); err != nil {
+	if err := s.installSession(sess, bodies); err != nil {
 		return err
 	}
 	obsHandoffImported.Inc()
@@ -89,27 +86,3 @@ func (s *Server) DropSessionsMatching(match func(id string) bool) int {
 // Durable reports whether the server runs a persist store — i.e.
 // whether handoff callers should checkpoint after mutating sessions.
 func (s *Server) Durable() bool { return s.store != nil }
-
-// peekSessionRecordID reads just the id out of an encoded session
-// record, without validating the rest.
-func peekSessionRecordID(rec []byte) (string, error) {
-	r := wireReader{b: rec}
-	ver, err := r.u8()
-	if err != nil {
-		return "", err
-	}
-	if ver != sessionRecordVersion {
-		return "", fmt.Errorf("session record version %d, want %d", ver, sessionRecordVersion)
-	}
-	idLen, err := r.u8()
-	if err != nil {
-		return "", err
-	}
-	if int(idLen) > maxSessionIDLen || r.remaining() < int(idLen) {
-		return "", fmt.Errorf("session record id length %d", idLen)
-	}
-	if idLen == 0 {
-		return "", errors.New("session record with empty id")
-	}
-	return string(r.b[r.off : r.off+int(idLen)]), nil
-}

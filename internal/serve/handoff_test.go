@@ -84,3 +84,42 @@ func TestImportRejectsDamage(t *testing.T) {
 		t.Fatalf("refused import still installed %d sessions", dst.sessions.len())
 	}
 }
+
+// TestImportBadRecordKeepsLiveSession: a retried or damaged handoff
+// delivery for a session the gainer already holds must fail without
+// costing the gainer its copy. The record's id header is intact — only
+// the body is bad — so the refusal has to come before the live session
+// is touched: its digest and its cached infer still answer
+// byte-identically afterwards.
+func TestImportBadRecordKeepsLiveSession(t *testing.T) {
+	s, ts, _ := newDurableServer(t, Config{Workers: 2})
+	defer drainServer(t, s, ts)
+
+	postObserve(t, ts.URL, ObserveRequest{Session: "cell-a", N: 3, Observations: htObservations(40, 3), Seal: true})
+	sessionInfer(t, ts.URL, "cell-a")
+	sessionInfer(t, ts.URL, "cell-a")
+	hitBody, hdr := sessionInfer(t, ts.URL, "cell-a")
+	if hdr != "hit" {
+		t.Fatalf("warm-up infer not a hit (header %q)", hdr)
+	}
+	preDigest := probeDigest(t, ts.URL, "cell-a", 3)
+
+	rec := s.ExportSessionRecords(nil)[0].Record
+	flipped := append([]byte(nil), rec...)
+	flipped[len(flipped)-3] ^= 0x10 // window state: digest gate
+	for name, bad := range map[string][]byte{
+		"truncated":       rec[:len(rec)-5],
+		"digest-mismatch": flipped,
+	} {
+		if err := s.ImportSessionRecord(bad); err == nil {
+			t.Fatalf("%s record imported without error", name)
+		}
+		if got := probeDigest(t, ts.URL, "cell-a", 3); got != preDigest {
+			t.Fatalf("%s import: digest %s, want %s", name, got, preDigest)
+		}
+		body, hdr := sessionInfer(t, ts.URL, "cell-a")
+		if hdr != "hit" || !bytes.Equal(body, hitBody) {
+			t.Fatalf("%s import: infer header %q, byte-identical=%v", name, hdr, bytes.Equal(body, hitBody))
+		}
+	}
+}
