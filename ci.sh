@@ -49,11 +49,15 @@ echo "== kernel smoke =="
 # steady state and byte-identical across cache bounds and parallelism:
 # re-run the AllocsPerRun ceilings and the golden trace tests for both
 # kernels — cold inference and the warm-started §3.7 refresh repair —
-# plus the binary-codec ceilings. Then vet and smoke-test the benchmark
-# module: bench/ is its own module built against blu/internal/..., so
-# root `go test ./...` does not see it and a change that breaks its
-# build would otherwise first fail in the benchmark pipeline.
-go test $short -run 'TestScheduleSteadyStateAllocs|TestScheduleTraceGolden|TestScheduleTraceCacheBoundInvariance' ./internal/sched/
+# plus the binary-codec ceilings, and the sized-by-use memo tables
+# (grown ≡ preallocated across resets, a small calculator stays under
+# 8 KB, borrowed joint tables ≡ a fresh calculator). Then vet and
+# smoke-test the benchmark module: bench/ is its own module built
+# against blu/internal/..., so root `go test ./...` does not see it and
+# a change that breaks its build would otherwise first fail in the
+# benchmark pipeline.
+go test $short -run 'TestScheduleSteadyStateAllocs|TestScheduleTraceGolden|TestScheduleTraceCacheBoundInvariance|TestGroupCacheGrowthInvariance|TestJointTablesAcrossSchedulers' ./internal/sched/
+go test $short -run 'TestCalculatorGrowthInvariance|TestNewCalculatorSmall|TestCalculatorMemoLimitInvariance' ./internal/joint/
 go test $short -run 'TestInferAllocCeiling|TestInferTraceGolden|TestDeltaSpecializationsExact|TestWarmStart' ./internal/blueprint/
 go test $short -run 'TestCodecAllocCeiling|TestBinaryCodec' ./internal/serve/
 go -C bench vet ./...
@@ -91,8 +95,10 @@ echo "== serve smoke =="
 # require (a) the load manifest passes blumanifest's schema check with
 # all three endpoint phases, (b) the embedded server snapshot
 # proves the result cache actually absorbed repeats (nonzero
-# serve_cache_hit_total), and (c) a SIGTERM drain flushes a manifest
-# that validates with the same counters.
+# serve_cache_hit_total) and the joint-table cache did too (bluload
+# replays a fixed pool of schedule/joint payloads for the whole run, so
+# serve_joint_tables_hit_total must be nonzero), and (c) a SIGTERM drain
+# flushes a manifest that validates with the same counters.
 blud_pid=""
 # kill runs unquoted and || true'd: at normal exit the pid vars are
 # empty, and a bare/empty kill is an error that would abort the trap
@@ -118,7 +124,7 @@ fi
 "$obsdir/bluload" -addr "$addr" -seed 7 -c 4 -n 200 -o "$obsdir/bench_serve.json" >/dev/null
 go run ./cmd/blumanifest \
   -require-phase Serve/infer,Serve/joint,Serve/schedule \
-  -require serve_requests_total,serve_cache_hit_total \
+  -require serve_requests_total,serve_cache_hit_total,serve_joint_tables_hit_total \
   "$obsdir/bench_serve.json"
 # A second, binary-codec run against the same daemon: the infer stream
 # switches to the length-prefixed frames (request and response), which

@@ -20,6 +20,7 @@ package joint
 
 import (
 	mathbits "math/bits"
+	"unsafe"
 
 	"blu/internal/blueprint"
 	"blu/internal/obs"
@@ -39,6 +40,14 @@ type Distribution interface {
 // overrides it.
 const defaultMemoEntries = 1 << 15
 
+// minMemoSlots is the slot count a Calculator starts with (1.5 KB). The
+// table grows fourfold on demand up to twice the entry bound: five steps
+// to the default bound, so the entries rehashed along the way sum to a
+// third of the final count. Doubling fits memory a little tighter but
+// rehashes three times as much, and a blueprint's first subframe often
+// fills the memo to its bound (DESIGN.md §11 has the measurement).
+const minMemoSlots = 64
+
 // Calculator computes joint access distributions from a blueprint
 // topology by recursive conditioning (Section 3.6): conditioning on a
 // client having transmitted removes every hidden terminal adjacent to
@@ -48,11 +57,16 @@ const defaultMemoEntries = 1 << 15
 // The Eqn-9 recursion is memoized in a flat open-addressed table keyed
 // by the (cond, blocked) set pair (power-of-two capacity, linear
 // probing) with a hard entry bound; hitting the bound resets the whole
-// table. Entries are pure functions of the fixed topology, so a reset
-// only costs recomputation — results are bit-identical at any bound.
+// table. The slot array starts at minMemoSlots and grows as entries
+// arrive, so a Calculator costs what it holds, not what it may hold.
+// Entries are pure functions of the fixed topology, so a reset or a
+// rehash only costs recomputation — results are bit-identical at any
+// bound and any table size.
+//
+// A Calculator is not safe for concurrent use: Prob writes the memo.
 type Calculator struct {
 	topo  *blueprint.Topology
-	max   int // entry bound; <= half the slot count
+	max   int // entry bound; the slot count never exceeds the power of two >= 2*max
 	mask  uint64
 	slots []calcSlot
 	count int
@@ -92,8 +106,8 @@ func (c *Calculator) SetMemoLimit(max int) {
 		max = defaultMemoEntries
 	}
 	n := 1
-	for n < 2*max {
-		n <<= 1 // load factor stays <= 0.5
+	for n < 2*max && n < minMemoSlots {
+		n <<= 1
 	}
 	c.max = max
 	c.mask = uint64(n - 1)
@@ -101,18 +115,42 @@ func (c *Calculator) SetMemoLimit(max int) {
 	c.count = 0
 }
 
+// MemoBytes returns the memory the memo table currently occupies.
+func (c *Calculator) MemoBytes() int {
+	return len(c.slots) * int(unsafe.Sizeof(calcSlot{}))
+}
+
 // probe returns the slot index where key (cond, blocked) lives or would
-// be inserted.
+// be inserted. The two sets are folded into one word before the
+// finalizer: one mix64 per probe instead of two.
 func (c *Calculator) probe(cond, blocked blueprint.ClientSet) uint64 {
-	i := (mix64(uint64(cond)) ^ mix64(^uint64(blocked))) & c.mask
+	i := mix64(uint64(cond)*0x9e3779b97f4a7c15^uint64(blocked)) & c.mask
 	for c.slots[i].blocked != 0 && (c.slots[i].cond != cond || c.slots[i].blocked != blocked) {
 		i = (i + 1) & c.mask
 	}
 	return i
 }
 
+// grow quadruples the slot array (stopping at the power of two >= 2*max)
+// and rehashes every entry into it.
+func (c *Calculator) grow() {
+	old := c.slots
+	n := 2 * len(old)
+	if n < 2*c.max {
+		n *= 2
+	}
+	c.slots = make([]calcSlot, n)
+	c.mask = uint64(len(c.slots) - 1)
+	for _, s := range old {
+		if s.blocked != 0 {
+			c.slots[c.probe(s.cond, s.blocked)] = s
+		}
+	}
+}
+
 // memoReset clears every slot; deterministic by construction (no
-// eviction order to depend on).
+// eviction order to depend on). It only runs with the table at its
+// full size, which it keeps.
 func (c *Calculator) memoReset() {
 	for i := range c.slots {
 		c.slots[i] = calcSlot{}
@@ -195,9 +233,11 @@ func (c *Calculator) blockedGiven(cond, blocked blueprint.ClientSet) float64 {
 	}
 	if c.count >= c.max {
 		c.memoReset()
+	} else if 2*(c.count+1) > len(c.slots) {
+		c.grow() // load factor stays <= 0.5; count < max caps the growth
 	}
-	// Re-probe: the recursion above (or a reset) may have moved the
-	// insertion slot since the miss.
+	// Re-probe: the recursion above (or a reset or rehash) may have
+	// moved the insertion slot since the miss.
 	i = c.probe(cond, blocked)
 	if c.slots[i].blocked == 0 {
 		c.slots[i] = calcSlot{cond: cond, blocked: blocked, val: p}

@@ -2,6 +2,7 @@ package joint
 
 import (
 	"math"
+	"runtime"
 	"testing"
 	"testing/quick"
 
@@ -358,5 +359,98 @@ func TestRecursionEqualsInclusionExclusionProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
+	}
+}
+
+// growthTopology is dense enough (12 clients, 8 overlapping terminals)
+// that enumerating its joint probabilities fills thousands of memo
+// entries.
+func growthTopology() *blueprint.Topology {
+	r := rng.New(23)
+	topo := &blueprint.Topology{N: 12}
+	for k := 0; k < 8; k++ {
+		var set blueprint.ClientSet
+		for i := 0; i < topo.N; i++ {
+			if r.Bool(0.3) {
+				set = set.Add(i)
+			}
+		}
+		topo.HTs = append(topo.HTs, blueprint.HiddenTerminal{
+			Q: 0.1 + 0.5*r.Float64(), Clients: set.Add(k),
+		})
+	}
+	return topo
+}
+
+// TestCalculatorGrowthInvariance pins the sized-by-use contract: a memo
+// that starts at minMemoSlots and grows on demand returns bit-identical
+// probabilities to one whose slot array is preallocated at its bound —
+// through several growth steps and across whole-table resets — and the
+// two see the same resets, because the reset rule counts entries, not
+// slots.
+func TestCalculatorGrowthInvariance(t *testing.T) {
+	const limit = 1 << 10
+	topo := growthTopology()
+	grown := NewCalculator(topo)
+	grown.SetMemoLimit(limit)
+	fixed := NewCalculator(topo)
+	fixed.SetMemoLimit(limit)
+	fixed.slots = make([]calcSlot, 2*limit)
+	fixed.mask = 2*limit - 1
+	if len(grown.slots) != minMemoSlots {
+		t.Fatalf("fresh memo has %d slots, want %d", len(grown.slots), minMemoSlots)
+	}
+
+	resets, sizes := 0, map[int]bool{}
+	r := rng.New(5)
+	for q := 0; q < 4000; q++ {
+		var clear, blocked blueprint.ClientSet
+		for i := 0; i < topo.N; i++ {
+			switch r.Intn(3) {
+			case 0:
+				clear = clear.Add(i)
+			case 1:
+				blocked = blocked.Add(i)
+			}
+		}
+		before := grown.count
+		got, want := grown.Prob(clear, blocked), fixed.Prob(clear, blocked)
+		if math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("query %d: Prob(%v, %v) = %v grown, %v preallocated", q, clear, blocked, got, want)
+		}
+		if grown.count != fixed.count {
+			t.Fatalf("query %d: grown memo holds %d entries, preallocated %d", q, grown.count, fixed.count)
+		}
+		if grown.count < before {
+			resets++
+		}
+		sizes[len(grown.slots)] = true
+		if 2*grown.count > len(grown.slots) {
+			t.Fatalf("query %d: load %d/%d above 0.5", q, grown.count, len(grown.slots))
+		}
+	}
+	if len(sizes) < 3 || len(grown.slots) != 2*limit {
+		t.Errorf("memo went through sizes %v, want several steps ending at %d", sizes, 2*limit)
+	}
+	if resets == 0 {
+		t.Error("memo never reset: the run does not cross the bound")
+	}
+}
+
+// TestNewCalculatorSmall holds the miss path's price: a calculator that
+// answers one query on a small topology allocates a few KB, not the
+// 1.5 MB table its entry bound would allow.
+func TestNewCalculatorSmall(t *testing.T) {
+	topo := testTopology()
+	const runs = 100
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		calc := NewCalculator(topo)
+		calc.Prob(blueprint.NewClientSet(0), blueprint.NewClientSet(1, 2))
+	}
+	runtime.ReadMemStats(&after)
+	if got := (after.TotalAlloc - before.TotalAlloc) / runs; got >= 8<<10 {
+		t.Errorf("NewCalculator + one Prob allocates %d bytes, want < 8 KB", got)
 	}
 }

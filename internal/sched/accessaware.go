@@ -21,7 +21,7 @@ func NewAccessAware(env Env, dist joint.Distribution) (*AccessAware, error) {
 	if err := env.validate(); err != nil {
 		return nil, err
 	}
-	return &AccessAware{st: newPFState(env, "AA"), dist: dist}, nil
+	return &AccessAware{st: newPFState(env, metricsAA), dist: dist}, nil
 }
 
 // Name implements Scheduler.

@@ -3,6 +3,7 @@ package sched
 import (
 	"fmt"
 	"hash/fnv"
+	"math"
 	"reflect"
 	"runtime"
 	"testing"
@@ -360,4 +361,95 @@ func BenchmarkScheduleKernel(b *testing.B) {
 		})
 	}
 	_ = fmt.Sprint(sink)
+}
+
+// TestGroupCacheGrowthInvariance pins the sized-by-use contract for the
+// group-distribution cache: a table that starts at minGroupCacheSlots
+// and grows on demand hands out bit-identical outcome distributions to
+// one preallocated at its bound, through several growth steps and
+// across whole-table resets, and resets at the same lookups.
+func TestGroupCacheGrowthInvariance(t *testing.T) {
+	const limit = 256
+	topo := kernelTopology()
+	grown := newGroupDistCache(joint.NewCalculator(topo), limit)
+	fixed := newGroupDistCache(joint.NewCalculator(topo), limit)
+	fixed.slots = make([]groupSlot, 2*limit)
+	fixed.mask = 2*limit - 1
+	if len(grown.slots) != minGroupCacheSlots {
+		t.Fatalf("fresh cache has %d slots, want %d", len(grown.slots), minGroupCacheSlots)
+	}
+
+	resets, sizes := 0, map[int]bool{}
+	r := rng.New(9)
+	for q := 0; q < 3000; q++ {
+		var group blueprint.ClientSet
+		for group.Count() < 1+q%5 {
+			group = group.Add(r.Intn(topo.N))
+		}
+		before := grown.count
+		gm, ge := grown.get(group)
+		fm, fe := fixed.get(group)
+		if !reflect.DeepEqual(gm, fm) || len(ge) != len(fe) {
+			t.Fatalf("lookup %d: group %v members/outcomes differ", q, group)
+		}
+		for mask := range ge {
+			if math.Float64bits(ge[mask]) != math.Float64bits(fe[mask]) {
+				t.Fatalf("lookup %d: group %v exact[%d] = %v grown, %v preallocated", q, group, mask, ge[mask], fe[mask])
+			}
+		}
+		if grown.count != fixed.count || grown.heldBytes != fixed.heldBytes {
+			t.Fatalf("lookup %d: grown cache holds %d entries/%d B, preallocated %d/%d",
+				q, grown.count, grown.heldBytes, fixed.count, fixed.heldBytes)
+		}
+		if grown.count < before {
+			resets++
+		}
+		sizes[len(grown.slots)] = true
+		if 2*grown.count > len(grown.slots) {
+			t.Fatalf("lookup %d: load %d/%d above 0.5", q, grown.count, len(grown.slots))
+		}
+	}
+	if len(sizes) < 3 || len(grown.slots) != 2*limit {
+		t.Errorf("cache went through sizes %v, want several steps ending at %d", sizes, 2*limit)
+	}
+	if resets == 0 {
+		t.Error("cache never reset: the run does not cross the bound")
+	}
+}
+
+// TestJointTablesAcrossSchedulers is the serving shape: one JointTables
+// per blueprint, a scheduler with fresh PF state bound to it for every
+// subframe. Each schedule must equal the one a scheduler over its own
+// new calculator produces — at empty, partly filled and warm tables —
+// and the tables must account for what they hold.
+func TestJointTablesAcrossSchedulers(t *testing.T) {
+	env := kernelEnv()
+	tables := NewJointTables(joint.NewCalculator(kernelTopology()))
+	empty := tables.Bytes()
+	if empty <= 0 || empty >= 8<<10 {
+		t.Errorf("empty tables account %d bytes, want a few KB", empty)
+	}
+	r := rng.New(3)
+	avg := make([]float64, env.NumUE)
+	for sf := 0; sf < 25; sf++ {
+		for i := range avg {
+			avg[i] = 200 + 4000*r.Float64()
+		}
+		borrowed, err := tables.Speculative(env)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fresh, err := NewSpeculative(env, joint.NewCalculator(kernelTopology()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		borrowed.WarmStart(avg)
+		fresh.WarmStart(avg)
+		if got, want := borrowed.Schedule(0).RB, fresh.Schedule(0).RB; !reflect.DeepEqual(got, want) {
+			t.Fatalf("subframe %d: borrowed tables scheduled %v, fresh calculator %v", sf, got, want)
+		}
+	}
+	if got := tables.Bytes(); got <= empty {
+		t.Errorf("tables account %d bytes after 25 subframes, %d when empty", got, empty)
+	}
 }

@@ -20,7 +20,6 @@ package sched
 import (
 	"fmt"
 	"math"
-	"strings"
 
 	"blu/internal/blueprint"
 	"blu/internal/lte"
@@ -142,8 +141,8 @@ const maxSpeculativeGroup = 16
 // newPFState is the single place Env.Alpha is defaulted: windows >= 1
 // are taken as given (Alpha documents 1 as valid), anything below —
 // including the zero value — becomes 100, identically for all three
-// schedulers. name is the scheduler's display name, keying its metrics.
-func newPFState(env Env, name string) *pfState {
+// schedulers. metrics is the scheduler flavor's handle set.
+func newPFState(env Env, metrics *schedMetrics) *pfState {
 	if env.Alpha < 1 {
 		env.Alpha = 100
 	}
@@ -151,7 +150,7 @@ func newPFState(env Env, name string) *pfState {
 		env:        env,
 		r:          make([]float64, env.NumUE),
 		served:     make([]float64, env.NumUE),
-		metrics:    newSchedMetrics(name),
+		metrics:    metrics,
 		delivered:  make([]float64, env.NumUE),
 		budgetUsed: make([]bool, env.NumUE),
 		in:         make([]bool, env.NumUE),
@@ -163,9 +162,11 @@ func newPFState(env Env, name string) *pfState {
 	return s
 }
 
-// schedMetrics is one scheduler flavor's obs handles. Handles resolve
-// once per constructor call (cold); recording is atomic and gated on
-// obs.Enabled, so hot paths pay nothing when the layer is off.
+// schedMetrics is one scheduler flavor's obs handles. There are exactly
+// three flavors, so the three sets resolve once at package init and a
+// constructor call (one per served subframe in internal/serve) looks
+// nothing up; recording is atomic and gated on obs.Enabled, so hot
+// paths pay nothing when the layer is off.
 type schedMetrics struct {
 	subframes    *obs.Counter // scheduled subframes
 	grants       *obs.Counter // (RB unit, UE) grants issued
@@ -177,8 +178,14 @@ type schedMetrics struct {
 	scratchReuse *obs.Counter // subframes scheduled on reused scratch
 }
 
-func newSchedMetrics(name string) *schedMetrics {
-	p := "sched_" + strings.ToLower(name) + "_"
+var (
+	metricsPF  = newSchedMetrics("pf")
+	metricsAA  = newSchedMetrics("aa")
+	metricsBLU = newSchedMetrics("blu")
+)
+
+func newSchedMetrics(flavor string) *schedMetrics {
+	p := "sched_" + flavor + "_"
 	return &schedMetrics{
 		subframes:    obs.GetCounter(p + "subframes_total"),
 		grants:       obs.GetCounter(p + "grants_total"),
@@ -322,7 +329,7 @@ func NewPF(env Env) (*PF, error) {
 	if err := env.validate(); err != nil {
 		return nil, err
 	}
-	return &PF{st: newPFState(env, "PF")}, nil
+	return &PF{st: newPFState(env, metricsPF)}, nil
 }
 
 // Name implements Scheduler.

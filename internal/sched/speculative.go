@@ -3,6 +3,7 @@ package sched
 import (
 	"math"
 	"math/bits"
+	"unsafe"
 
 	"blu/internal/blueprint"
 	"blu/internal/joint"
@@ -56,17 +57,60 @@ type scoredCand struct {
 // access distributions from dist (typically a joint.Calculator over the
 // inferred blueprint).
 func NewSpeculative(env Env, dist joint.Distribution) (*Speculative, error) {
+	return newSpeculative(env, dist, newGroupDistCache(dist, 0))
+}
+
+func newSpeculative(env Env, dist joint.Distribution, groups *groupDistCache) (*Speculative, error) {
 	if err := env.validate(); err != nil {
 		return nil, err
 	}
 	return &Speculative{
-		st:             newPFState(env, "BLU"),
+		st:             newPFState(env, metricsBLU),
 		dist:           dist,
 		OverFactor:     2,
 		CandidateLimit: 12,
-		groups:         newGroupDistCache(dist, 0),
+		groups:         groups,
 		w:              make([]float64, maxSpeculativeGroup),
 	}, nil
+}
+
+// JointTables is everything on the speculative scheduler's
+// joint-distribution path that is a pure function of one blueprint: the
+// recursive-conditioning calculator and the group-distribution cache
+// filled from it. A holder that schedules many subframes against the
+// same blueprint through short-lived schedulers (internal/serve: one
+// scheduler per request) keeps a JointTables and binds each scheduler to
+// it with Speculative, so only the first subframe pays for the
+// distributions.
+//
+// The tables are written on every use. They must never be used by two
+// goroutines at once — that includes every scheduler bound to them and
+// Calculator().Prob — and never for another topology (DESIGN.md §11).
+type JointTables struct {
+	calc   *joint.Calculator
+	groups *groupDistCache
+}
+
+// NewJointTables returns empty tables over calc's topology.
+func NewJointTables(calc *joint.Calculator) *JointTables {
+	return &JointTables{calc: calc, groups: newGroupDistCache(calc, 0)}
+}
+
+// Calculator returns the tables' calculator, for callers that need
+// joint probabilities or marginals without a speculative scheduler.
+func (t *JointTables) Calculator() *joint.Calculator { return t.calc }
+
+// Bytes returns the memory the tables currently occupy: both slot
+// arrays plus the cached per-group outcome distributions.
+func (t *JointTables) Bytes() int { return t.calc.MemoBytes() + t.groups.bytes() }
+
+// Speculative returns a speculative scheduler with fresh PF state for
+// env that borrows t's calculator and group-distribution cache. The
+// schedules are byte-identical to NewSpeculative over a new calculator
+// at any fill state of the tables, because every cached value is a pure
+// function of the topology.
+func (t *JointTables) Speculative(env Env) (*Speculative, error) {
+	return newSpeculative(env, t.calc, t.groups)
 }
 
 // Name implements Scheduler.
@@ -241,6 +285,11 @@ func (s *Speculative) expectedUtility(group blueprint.ClientSet, b int) float64 
 // Speculative.CacheEntries overrides it.
 const defaultGroupCacheEntries = 8192
 
+// minGroupCacheSlots is the slot count a group-distribution cache starts
+// with (under 1 KB); the table grows fourfold on demand up to twice the
+// entry bound, like the joint.Calculator memo it sits on.
+const minGroupCacheSlots = 16
+
 // groupDistCache memoizes, per client group, the exact probability of
 // every "which subset transmitted" outcome. The distribution depends
 // only on the (fixed) blueprint, so entries are reused across all RBs
@@ -248,13 +297,17 @@ const defaultGroupCacheEntries = 8192
 // open-addressed table (power-of-two capacity, linear probing) with a
 // hard entry bound: hitting the bound resets the whole table — the
 // deterministic alternative to eviction, since recomputed entries are
-// bit-identical (DESIGN.md §11).
+// bit-identical (DESIGN.md §11). The slot array starts at
+// minGroupCacheSlots and grows as groups arrive.
 type groupDistCache struct {
 	dist  joint.Distribution
-	max   int // entry bound; <= half the slot count
+	max   int // entry bound; the slot count never exceeds the power of two >= 2*max
 	mask  uint64
 	slots []groupSlot
 	count int
+	// heldBytes is the size of the members and exact arrays the slots
+	// point to.
+	heldBytes int
 
 	// Local tallies flushed to the obs counters once per subframe.
 	hits, misses, resets int64
@@ -280,8 +333,8 @@ func newGroupDistCache(dist joint.Distribution, max int) *groupDistCache {
 		max = defaultGroupCacheEntries
 	}
 	n := 1
-	for n < 2*max {
-		n <<= 1 // load factor stays <= 0.5
+	for n < 2*max && n < minGroupCacheSlots {
+		n <<= 1
 	}
 	return &groupDistCache{
 		dist:  dist,
@@ -333,21 +386,47 @@ func (c *groupDistCache) get(group blueprint.ClientSet) ([]int, []float64) {
 	}
 	if c.count >= c.max {
 		c.reset()
-		i = c.probe(group)
+	} else if 2*(c.count+1) > len(c.slots) {
+		c.grow() // load factor stays <= 0.5; count < max caps the growth
 	}
-	c.slots[i] = groupSlot{key: group, members: members, exact: exact}
+	c.slots[c.probe(group)] = groupSlot{key: group, members: members, exact: exact}
 	c.count++
+	c.heldBytes += 8 * (len(members) + len(exact))
 	return members, exact
+}
+
+// grow quadruples the slot array (stopping at the power of two >= 2*max)
+// and rehashes every entry into it.
+func (c *groupDistCache) grow() {
+	old := c.slots
+	n := 2 * len(old)
+	if n < 2*c.max {
+		n *= 2
+	}
+	c.slots = make([]groupSlot, n)
+	c.mask = uint64(len(c.slots) - 1)
+	for _, s := range old {
+		if s.exact != nil {
+			c.slots[c.probe(s.key)] = s
+		}
+	}
+}
+
+// bytes returns the memory the cache currently occupies.
+func (c *groupDistCache) bytes() int {
+	return len(c.slots)*int(unsafe.Sizeof(groupSlot{})) + c.heldBytes
 }
 
 // reset clears every slot. Dropping the whole table (rather than
 // evicting) keeps cached state independent of lookup order, so a bound
-// change can never change a schedule.
+// change can never change a schedule. It only runs with the table at
+// its full size, which it keeps.
 func (c *groupDistCache) reset() {
 	for i := range c.slots {
 		c.slots[i] = groupSlot{}
 	}
 	c.count = 0
+	c.heldBytes = 0
 	c.resets++
 }
 

@@ -28,6 +28,10 @@
 //     with the session's previous blueprint (warm start). Cache entries
 //     minted from a session are invalidated exactly when the session's
 //     measurement digest moves (DESIGN.md §14).
+//   - Joint tables: /v1/schedule and /v1/joint draw the blueprint's
+//     calculator memo and group distributions from a byte-bounded
+//     per-topology cache, so a cell scheduling every subframe against
+//     one blueprint computes them once (tables.go).
 //   - Deadlines: a per-request timeout_ms maps onto the existing
 //     blueprint.InferContext plumbing; expiry answers 504.
 //   - Graceful drain: Drain stops intake, finishes every in-flight
@@ -50,7 +54,6 @@ import (
 	"time"
 
 	"blu/internal/blueprint"
-	"blu/internal/joint"
 	"blu/internal/lte"
 	"blu/internal/obs"
 	"blu/internal/parallel"
@@ -72,9 +75,9 @@ var (
 	// that minted them saw its measurement digest move (or died) — the
 	// digest-delta invalidations, as opposed to capacity evictions.
 	obsInvalidation = obs.GetCounter("serve_invalidation_total")
-	obsDrains    = obs.GetCounter("serve_drains_total")
-	obsQueueLen  = obs.GetGauge("serve_queue_depth")
-	obsLatency   = obs.GetHistogram("serve_latency_ms",
+	obsDrains       = obs.GetCounter("serve_drains_total")
+	obsQueueLen     = obs.GetGauge("serve_queue_depth")
+	obsLatency      = obs.GetHistogram("serve_latency_ms",
 		[]float64{0.5, 1, 2, 5, 10, 25, 50, 100, 250, 500, 1000, 2500})
 )
 
@@ -187,6 +190,7 @@ type Server struct {
 	cache    *lruCache
 	flights  *flightGroup
 	sessions *sessionStore
+	tables   *tablesCache
 	manifest *obs.Manifest
 
 	queue    chan *job
@@ -230,6 +234,7 @@ func New(cfg Config) *Server {
 		cache:    newLRUCache(cfg.CacheEntries),
 		flights:  newFlightGroup(),
 		sessions: newSessionStore(cfg.MaxSessions, cfg.WindowEpochs),
+		tables:   newTablesCache(jointTablesMaxBytes),
 		manifest: obs.NewManifest(cfg.Tool, cfg.Args),
 		queue:    make(chan *job, cfg.QueueDepth),
 		poolDone: make(chan struct{}),
@@ -660,7 +665,8 @@ func (s *Server) handleInfer(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleJoint is POST /v1/joint: topology + clear/blocked sets →
-// P(clear, blocked̄) via the §3.6 recursive-conditioning calculator.
+// P(clear, blocked̄) via the §3.6 recursive-conditioning calculator of
+// the blueprint's cached joint tables.
 func (s *Server) handleJoint(w http.ResponseWriter, r *http.Request) {
 	var req JointRequest
 	if err := decode(r, &req); err != nil {
@@ -702,7 +708,9 @@ func (s *Server) handleJoint(w http.ResponseWriter, r *http.Request) {
 	var resp JointResponse
 	ran := false
 	if err := s.submit(ctx, func(context.Context) {
-		calc := joint.NewCalculator(topo)
+		key, tables := s.tables.acquire(topo)
+		defer s.tables.release(key, tables)
+		calc := tables.Calculator()
 		resp.Prob = calc.Prob(clear, blocked)
 		resp.Marginals = make([]float64, topo.N)
 		for i := range resp.Marginals {
@@ -761,77 +769,40 @@ func (s *Server) handleSchedule(w http.ResponseWriter, r *http.Request) {
 			fmt.Sprintf("backlog covers %d UEs, topology has %d", len(req.Backlog), n))
 		return
 	}
+	if req.AvgThroughput != nil && len(req.AvgThroughput) != n {
+		writeError(w, http.StatusBadRequest,
+			fmt.Sprintf("avg_throughput covers %d UEs, topology has %d", len(req.AvgThroughput), n))
+		return
+	}
 	flavor := req.Scheduler
-	if flavor == "" {
-		flavor = "blu"
-	}
-
-	env := sched.Env{
-		NumUE: n,
-		NumRB: req.NumRB,
-		M:     req.M,
-		K:     req.K,
-		Alpha: req.Alpha,
-		Rate: func(ue, b int) float64 {
-			rr := req.Rates[ue]
-			if len(rr) == 1 {
-				return rr[0]
-			}
-			return rr[b]
-		},
-	}
-	if req.Backlog != nil {
-		env.Backlog = func(ue int) float64 { return req.Backlog[ue] }
-	}
-
-	var scheduler sched.Scheduler
-	warm := func(ws interface{ WarmStart([]float64) }) {
-		if req.AvgThroughput != nil {
-			ws.WarmStart(req.AvgThroughput)
-		}
-	}
 	switch flavor {
-	case "blu":
-		sp, err := sched.NewSpeculative(env, joint.NewCalculator(topo))
-		if err != nil {
-			writeError(w, http.StatusBadRequest, err.Error())
-			return
-		}
-		if req.OverFactor > 0 {
-			sp.OverFactor = req.OverFactor
-		}
-		warm(sp)
-		scheduler = sp
-	case "aa":
-		aa, err := sched.NewAccessAware(env, joint.NewCalculator(topo))
-		if err != nil {
-			writeError(w, http.StatusBadRequest, err.Error())
-			return
-		}
-		warm(aa)
-		scheduler = aa
-	case "pf":
-		pf, err := sched.NewPF(env)
-		if err != nil {
-			writeError(w, http.StatusBadRequest, err.Error())
-			return
-		}
-		warm(pf)
-		scheduler = pf
+	case "":
+		flavor = "blu"
+	case "blu", "aa", "pf":
 	default:
 		writeError(w, http.StatusBadRequest,
 			fmt.Sprintf("unknown scheduler %q (want blu, aa, or pf)", flavor))
 		return
 	}
 
+	// Everything heavier than validation — table acquisition, scheduler
+	// construction, the subframe itself — runs inside the job, so the
+	// queue and the worker count bound it and a shed request costs none
+	// of it.
 	ctx, cancel := s.requestContext(r, req.TimeoutMS)
 	defer cancel()
 	var schedule *lte.Schedule
+	var buildErr error
 	if err := s.submit(ctx, func(context.Context) {
-		schedule = scheduler.Schedule(0)
+		schedule, buildErr = s.scheduleSubframe(flavor, topo, &req)
 	}); err != nil {
 		st, msg := submitErrToStatus(err)
 		writeError(w, st, msg)
+		return
+	}
+	if buildErr != nil {
+		// Unreachable while the validation above covers sched.Env's own.
+		writeError(w, http.StatusInternalServerError, buildErr.Error())
 		return
 	}
 	if schedule == nil {
@@ -851,6 +822,57 @@ func (s *Server) handleSchedule(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	writeJSON(w, http.StatusOK, resp)
+}
+
+// scheduleSubframe runs one validated /v1/schedule request on a pool
+// worker: a scheduler with fresh PF state, bound for blu and aa to the
+// blueprint's cached joint tables, schedules one subframe. The tables
+// are checked out for exactly the duration of this call.
+func (s *Server) scheduleSubframe(flavor string, topo *blueprint.Topology, req *ScheduleRequest) (*lte.Schedule, error) {
+	env := sched.Env{
+		NumUE: topo.N,
+		NumRB: req.NumRB,
+		M:     req.M,
+		K:     req.K,
+		Alpha: req.Alpha,
+		Rate: func(ue, b int) float64 {
+			rr := req.Rates[ue]
+			if len(rr) == 1 {
+				return rr[0]
+			}
+			return rr[b]
+		},
+	}
+	if req.Backlog != nil {
+		env.Backlog = func(ue int) float64 { return req.Backlog[ue] }
+	}
+	var scheduler interface {
+		sched.Scheduler
+		WarmStart([]float64)
+	}
+	var err error
+	if flavor == "pf" {
+		scheduler, err = sched.NewPF(env)
+	} else {
+		key, tables := s.tables.acquire(topo)
+		defer s.tables.release(key, tables)
+		if flavor == "aa" {
+			scheduler, err = sched.NewAccessAware(env, tables.Calculator())
+		} else {
+			var sp *sched.Speculative
+			if sp, err = tables.Speculative(env); err == nil && req.OverFactor > 0 {
+				sp.OverFactor = req.OverFactor
+			}
+			scheduler = sp
+		}
+	}
+	if err != nil {
+		return nil, err
+	}
+	if req.AvgThroughput != nil {
+		scheduler.WarmStart(req.AvgThroughput)
+	}
+	return scheduler.Schedule(0), nil
 }
 
 // handleHealthz is GET /healthz. A draining server answers 503 with

@@ -125,6 +125,10 @@ func TestHandlerValidation(t *testing.T) {
 			`{"topology":{"n":3,"hts":[]},"num_rb":4,"m":2,"rates":[[1],[1]]}`, http.StatusBadRequest},
 		{"schedule ragged rates", "POST", "/v1/schedule",
 			`{"topology":{"n":2,"hts":[]},"num_rb":4,"m":2,"rates":[[1,2],[1]]}`, http.StatusBadRequest},
+		{"schedule short avg_throughput", "POST", "/v1/schedule",
+			`{"topology":{"n":3,"hts":[]},"num_rb":4,"m":2,"rates":[[1],[1],[1]],"avg_throughput":[5,5]}`, http.StatusBadRequest},
+		{"schedule long avg_throughput", "POST", "/v1/schedule",
+			`{"topology":{"n":2,"hts":[]},"num_rb":4,"m":2,"rates":[[1],[1]],"avg_throughput":[5,5,5]}`, http.StatusBadRequest},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -386,25 +390,20 @@ func blockWorkers(t *testing.T, s *Server, n int) (release chan struct{}, done *
 	return release, done
 }
 
-func TestQueueFullReturns429(t *testing.T) {
-	s, ts := newTestServer(t, Config{Workers: 1, QueueDepth: 1})
-	release, blockers := blockWorkers(t, s, 1)
-
-	// Fill the single queue slot with a second held job. The worker must
-	// be released before waiting on this one: it only runs once the
-	// blocker finishes.
-	qrelease := make(chan struct{})
+// wedge saturates a Workers: 1, QueueDepth: 1 server — the worker held
+// by one job, the queue slot by another — so the next submit is shed.
+// The returned func lets both go and waits for them.
+func wedge(t *testing.T, s *Server) (release func()) {
+	t.Helper()
+	hold, blockers := blockWorkers(t, s, 1)
+	// The queued job only runs once the blocker finishes, so both are
+	// released together.
+	qhold := make(chan struct{})
 	var qwg sync.WaitGroup
-	defer func() {
-		close(release)
-		close(qrelease)
-		blockers.Wait()
-		qwg.Wait()
-	}()
 	qwg.Add(1)
 	go func() {
 		defer qwg.Done()
-		_ = s.submit(context.Background(), func(context.Context) { <-qrelease })
+		_ = s.submit(context.Background(), func(context.Context) { <-qhold })
 	}()
 	deadline := time.Now().Add(5 * time.Second)
 	for len(s.queue) == 0 {
@@ -413,6 +412,17 @@ func TestQueueFullReturns429(t *testing.T) {
 		}
 		time.Sleep(time.Millisecond)
 	}
+	return func() {
+		close(hold)
+		close(qhold)
+		blockers.Wait()
+		qwg.Wait()
+	}
+}
+
+func TestQueueFullReturns429(t *testing.T) {
+	s, ts := newTestServer(t, Config{Workers: 1, QueueDepth: 1})
+	defer wedge(t, s)()
 
 	rejected0 := obsRejected.Value()
 	resp := post(t, ts.URL+"/v1/joint", jointBody(0))
