@@ -61,7 +61,13 @@ func ExampleBuildMeasurementPlan() {
 		fmt.Println(err)
 		return
 	}
-	fmt.Printf("covers every pair at least %d times\n", plan.MinPairCount())
+	minPairs := plan.PairCounts[0][1]
+	for i, row := range plan.PairCounts {
+		for _, c := range row[i+1:] {
+			minPairs = min(minPairs, c)
+		}
+	}
+	fmt.Printf("covers every pair at least %d times\n", minPairs)
 	fmt.Printf("bound: %d subframes\n", blu.MeasurementLowerBound(8, 4, 10))
 	fmt.Printf("within 2x of bound: %v\n", plan.TMax() <= 2*blu.MeasurementLowerBound(8, 4, 10))
 	// Output:

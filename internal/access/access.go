@@ -95,23 +95,6 @@ type Plan struct {
 // t_max of Section 3.7.
 func (p *Plan) TMax() int { return len(p.Subframes) }
 
-// MinPairCount returns the smallest number of co-schedulings over all
-// pairs.
-func (p *Plan) MinPairCount() int {
-	minC := math.MaxInt
-	for i := range p.PairCounts {
-		for j := i + 1; j < len(p.PairCounts); j++ {
-			if c := p.PairCounts[i][j]; c < minC {
-				minC = c
-			}
-		}
-	}
-	if minC == math.MaxInt {
-		return 0
-	}
-	return minC
-}
-
 // BuildPlan runs Algorithm 1: in each measurement subframe it greedily
 // schedules the K clients contributing the most measurement value — the
 // clients whose pairs with the already-selected set have the fewest

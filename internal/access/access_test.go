@@ -10,6 +10,12 @@ import (
 	"blu/internal/rng"
 )
 
+// minPairCount is the smallest co-scheduling count over all pairs.
+func minPairCount(p *Plan) int {
+	i, j := leastSampledPair(p.PairCounts)
+	return p.PairCounts[i][j]
+}
+
 func TestFMin(t *testing.T) {
 	// The paper's §3.3 example: N=20, K=8, T=T → C(20,2)/C(8,2)·T =
 	// 190/28·T ≈ 6.8T ("only < 7T sub-frames").
@@ -50,7 +56,7 @@ func TestBuildPlanCoversAllPairs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := plan.MinPairCount(); got < 10 {
+	if got := minPairCount(plan); got < 10 {
 		t.Errorf("min pair count = %d, want >= 10", got)
 	}
 	for _, sf := range plan.Subframes {
@@ -256,7 +262,7 @@ func TestPlanProperty(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		if plan.MinPairCount() < tt {
+		if minPairCount(plan) < tt {
 			return false
 		}
 		for _, sf := range plan.Subframes {

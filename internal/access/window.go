@@ -80,14 +80,8 @@ func NewWindow(n, capacity int) *Window {
 // N returns the client count the window was built for.
 func (w *Window) N() int { return w.n }
 
-// Capacity returns the maximum number of live epochs.
-func (w *Window) Capacity() int { return len(w.epochs) }
-
 // Epoch returns the id of the current (unsealed) epoch.
 func (w *Window) Epoch() int { return w.seq }
-
-// Live returns how many epochs currently back the estimate.
-func (w *Window) Live() int { return w.live }
 
 // Fold adds one subframe observation to the current epoch and the
 // aggregate. The grant list is canonicalized exactly like

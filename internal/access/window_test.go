@@ -9,17 +9,23 @@ import (
 	"blu/internal/rng"
 )
 
+// Capacity returns the maximum number of live epochs.
+func (w *Window) Capacity() int { return len(w.epochs) }
+
+// Live returns how many epochs currently back the estimate.
+func (w *Window) Live() int { return w.live }
+
 // TestFMinClampsK is the regression for the missing K clamp: with K ≥ N
 // every pair is covered by every subframe, so the bound is exactly the
 // T-subframe floor. The unclamped formula divided by C(K,2) > C(N,2)
 // and returned 1 for FMin(4, 8, 2).
 func TestFMinClampsK(t *testing.T) {
 	cases := []struct{ n, k, tt, want int }{
-		{4, 8, 2, 2},    // pre-fix: 1
-		{4, 4, 2, 2},    // K == N, same floor
-		{4, 100, 7, 7},  // absurd K still floors at T
+		{4, 8, 2, 2},   // pre-fix: 1
+		{4, 4, 2, 2},   // K == N, same floor
+		{4, 100, 7, 7}, // absurd K still floors at T
 		{20, 30, 50, 50},
-		{20, 8, 1, 7},   // the paper's anchor is unchanged
+		{20, 8, 1, 7}, // the paper's anchor is unchanged
 		{20, 8, 50, 340},
 	}
 	for _, c := range cases {
@@ -37,10 +43,10 @@ func TestFMinClampsK(t *testing.T) {
 // like K = N, not dilute the denominator.
 func TestJointOverheadClampsSchedK(t *testing.T) {
 	cases := []struct{ n, schedK, tupleK, tt, want int }{
-		{4, 8, 2, 3, 3},      // pre-fix: ⌈6/28·3⌉ = 1
-		{4, 100, 4, 5, 5},    // whole-cell tuples, T floor
-		{20, 4, 5, 10, 0},    // infeasible tuple stays 0
-		{20, 8, 6, 1, 1385},  // the paper's anchor is unchanged
+		{4, 8, 2, 3, 3},     // pre-fix: ⌈6/28·3⌉ = 1
+		{4, 100, 4, 5, 5},   // whole-cell tuples, T floor
+		{20, 4, 5, 10, 0},   // infeasible tuple stays 0
+		{20, 8, 6, 1, 1385}, // the paper's anchor is unchanged
 	}
 	for _, c := range cases {
 		if got := JointOverhead(c.n, c.schedK, c.tupleK, c.tt); got != c.want {

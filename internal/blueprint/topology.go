@@ -42,13 +42,6 @@ type Topology struct {
 	HTs []HiddenTerminal
 }
 
-// Clone returns a deep copy of the topology.
-func (t *Topology) Clone() *Topology {
-	c := &Topology{N: t.N, HTs: make([]HiddenTerminal, len(t.HTs))}
-	copy(c.HTs, t.HTs)
-	return c
-}
-
 // Validate checks structural invariants: client indices in range, q(k)
 // in [0, 1), and no empty edge sets.
 func (t *Topology) Validate() error {

@@ -7,6 +7,13 @@ import (
 	"blu/internal/rng"
 )
 
+// Clone returns a deep copy of the topology.
+func (t *Topology) Clone() *Topology {
+	c := &Topology{N: t.N, HTs: make([]HiddenTerminal, len(t.HTs))}
+	copy(c.HTs, t.HTs)
+	return c
+}
+
 func almostEqual(a, b, tol float64) bool { return math.Abs(a-b) <= tol }
 
 // fig1Topology builds a topology shaped like the paper's Fig 1 example:

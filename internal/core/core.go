@@ -539,17 +539,6 @@ func (s *System) recordObservation(sf int, _ *lte.Schedule, results []lte.RBResu
 	}
 }
 
-// Estimator exposes the live access estimator (for inspection and
-// tests).
-func (s *System) Estimator() *access.Estimator { return s.estimator }
-
-// Scheduler exposes the speculative scheduler in use.
-func (s *System) Scheduler() *sched.Speculative { return s.spec }
-
-// Ladder returns the degradation level the controller last scheduled
-// at (LadderSpeculative before any cycle completes).
-func (s *System) Ladder() LadderLevel { return s.ladder }
-
 func accumulate(dst, src *sim.Metrics) {
 	w := float64(src.Subframes)
 	dst.TotalBits += src.TotalBits

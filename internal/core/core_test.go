@@ -3,10 +3,18 @@ package core
 import (
 	"testing"
 
+	"blu/internal/access"
 	"blu/internal/sched"
 	"blu/internal/sim"
 	"blu/internal/wifi"
 )
+
+// Estimator exposes the live access estimator.
+func (s *System) Estimator() *access.Estimator { return s.estimator }
+
+// Ladder returns the degradation level the controller last scheduled
+// at (LadderSpeculative before any cycle completes).
+func (s *System) Ladder() LadderLevel { return s.ladder }
 
 func testCell(t *testing.T, nUE, nHT, sfs int, seed uint64) *sim.Cell {
 	t.Helper()

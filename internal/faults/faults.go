@@ -295,9 +295,6 @@ func (in *Injector) recordTotals() {
 	obsBlockedSF.Add(blockedSF)
 }
 
-// Scenario returns the instantiated scenario (with defaults applied).
-func (in *Injector) Scenario() Scenario { return in.sc }
-
 // Active reports whether sf lies inside the fault window.
 func (in *Injector) Active(sf int) bool { return sf >= in.start && sf < in.end }
 

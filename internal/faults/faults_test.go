@@ -8,6 +8,9 @@ import (
 	"blu/internal/blueprint"
 )
 
+// Scenario returns the instantiated scenario (with defaults applied).
+func (in *Injector) Scenario() Scenario { return in.sc }
+
 func mustNew(t *testing.T, sc Scenario, n, horizon int) *Injector {
 	t.Helper()
 	in, err := New(sc, n, horizon)

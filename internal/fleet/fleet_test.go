@@ -15,6 +15,35 @@ import (
 	"blu/internal/serve"
 )
 
+// Handler returns the router's HTTP surface.
+func (rt *Router) Handler() http.Handler { return rt.mux }
+
+// UpdateShard re-targets a shard name at a new base URL (a restarted
+// shard comes back on a fresh port; its ring assignment is unchanged
+// because the name is).
+func (rt *Router) UpdateShard(name, url string) {
+	rt.mu.Lock()
+	defer rt.mu.Unlock()
+	rt.shards[name] = url
+}
+
+// Server exposes the wrapped serving core.
+func (sh *Shard) Server() *serve.Server { return sh.srv }
+
+// Handler returns the shard's full HTTP surface: every serve endpoint
+// plus the fleet exchange/blueprint endpoints.
+func (sh *Shard) Handler() http.Handler { return sh.mux }
+
+// Abort simulates kill -9: the listener dies mid-flight and the
+// serving core tears down without flushing (serve.Server.Abort).
+func (sh *Shard) Abort() {
+	sh.stopExchange()
+	if sh.httpSrv != nil {
+		sh.httpSrv.Close()
+	}
+	sh.srv.Abort()
+}
+
 // testDirectory is a hand-built 3-cell fleet with chained borders:
 // global UE 2 is audible in cell-0 and cell-1, global UE 4 in cell-1
 // and cell-2.

@@ -120,9 +120,6 @@ func NewRouter(cfg RouterConfig) (*Router, error) {
 	return rt, nil
 }
 
-// Handler returns the router's HTTP surface.
-func (rt *Router) Handler() http.Handler { return rt.mux }
-
 // Listen binds addr and serves Handler in the background.
 func (rt *Router) Listen(addr string) (string, error) {
 	ln, err := net.Listen("tcp", addr)
@@ -141,27 +138,6 @@ func (rt *Router) Close(ctx context.Context) error {
 		return nil
 	}
 	return rt.httpSrv.Shutdown(ctx)
-}
-
-// UpdateShard re-targets a shard name at a new base URL (a restarted
-// shard comes back on a fresh port; its ring assignment is unchanged
-// because the name is). Unknown names are added to the ring.
-func (rt *Router) UpdateShard(name, url string) {
-	rt.mu.Lock()
-	defer rt.mu.Unlock()
-	if _, ok := rt.shards[name]; !ok {
-		rt.ring = rt.ring.Add(name)
-	}
-	rt.shards[name] = strings.TrimSuffix(url, "/")
-}
-
-// RemoveShard drops a shard from the ring and routing table; its cells
-// move to the surviving shards (~1/K of the total).
-func (rt *Router) RemoveShard(name string) {
-	rt.mu.Lock()
-	defer rt.mu.Unlock()
-	delete(rt.shards, name)
-	rt.ring = rt.ring.Remove(name)
 }
 
 // shardFor resolves a cell id to the owning shard's name and URL.

@@ -127,13 +127,6 @@ func NewShard(cfg ShardConfig) (*Shard, *serve.RecoverStats, error) {
 // Name returns the shard's ring identity.
 func (sh *Shard) Name() string { return sh.name }
 
-// Server exposes the wrapped serving core (tests and the launcher).
-func (sh *Shard) Server() *serve.Server { return sh.srv }
-
-// Handler returns the shard's full HTTP surface: every serve endpoint
-// plus the fleet exchange/blueprint endpoints.
-func (sh *Shard) Handler() http.Handler { return sh.mux }
-
 // SetPeer updates a peer shard's base URL (restarts move ports).
 func (sh *Shard) SetPeer(name, url string) {
 	sh.peersMu.Lock()
@@ -206,16 +199,6 @@ func (sh *Shard) Drain(ctx context.Context) error {
 		err = derr
 	}
 	return err
-}
-
-// Abort simulates kill -9: the listener dies mid-flight and the
-// serving core tears down without flushing (serve.Server.Abort).
-func (sh *Shard) Abort() {
-	sh.stopExchange()
-	if sh.httpSrv != nil {
-		sh.httpSrv.Close()
-	}
-	sh.srv.Abort()
 }
 
 func (sh *Shard) stopExchange() {

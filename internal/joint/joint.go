@@ -259,41 +259,6 @@ func (c *Calculator) marginalGiven(v int, cond blueprint.ClientSet) float64 {
 	return p
 }
 
-// ProbInclusionExclusion computes P(U, V̄) by exact inclusion-exclusion
-// over subsets of V:
-//
-//	P(U, V̄) = Σ_{S ⊆ V} (−1)^{|S|} · P(U ∪ S clear)
-//
-// It is exponential in |V| and exists as an independent cross-check for
-// the recursive method (the two must agree — property-tested).
-func ProbInclusionExclusion(topo *blueprint.Topology, clear, blocked blueprint.ClientSet) float64 {
-	if !clear.Intersect(blocked).Empty() {
-		return 0
-	}
-	members := blocked.Members()
-	m := len(members)
-	var p float64
-	for mask := 0; mask < 1<<uint(m); mask++ {
-		set := clear
-		bits := 0
-		for b := 0; b < m; b++ {
-			if mask&(1<<uint(b)) != 0 {
-				set = set.Add(members[b])
-				bits++
-			}
-		}
-		term := topo.ClearProb(set)
-		if bits%2 == 1 {
-			term = -term
-		}
-		p += term
-	}
-	if p < 0 {
-		p = 0
-	}
-	return p
-}
-
 // Independent is the naive distribution that treats client accesses as
 // independent — correct only when no two clients share a hidden
 // terminal. It is what a scheduler knowing only marginals can assume.
@@ -343,9 +308,6 @@ func (e *Empirical) Add(accessible blueprint.ClientSet) {
 	e.total++
 	accessible.ForEach(func(i int) { e.hits[i]++ })
 }
-
-// Total returns the number of recorded subframes.
-func (e *Empirical) Total() int { return e.total }
 
 // Marginal implements Distribution.
 func (e *Empirical) Marginal(i int) float64 {

@@ -10,6 +10,41 @@ import (
 	"blu/internal/rng"
 )
 
+// ProbInclusionExclusion computes P(U, V̄) by exact inclusion-exclusion
+// over subsets of V:
+//
+//	P(U, V̄) = Σ_{S ⊆ V} (−1)^{|S|} · P(U ∪ S clear)
+//
+// It is exponential in |V| and exists as an independent cross-check for
+// the recursive method (the two must agree — property-tested).
+func ProbInclusionExclusion(topo *blueprint.Topology, clear, blocked blueprint.ClientSet) float64 {
+	if !clear.Intersect(blocked).Empty() {
+		return 0
+	}
+	members := blocked.Members()
+	m := len(members)
+	var p float64
+	for mask := 0; mask < 1<<uint(m); mask++ {
+		set := clear
+		bits := 0
+		for b := 0; b < m; b++ {
+			if mask&(1<<uint(b)) != 0 {
+				set = set.Add(members[b])
+				bits++
+			}
+		}
+		term := topo.ClearProb(set)
+		if bits%2 == 1 {
+			term = -term
+		}
+		p += term
+	}
+	if p < 0 {
+		p = 0
+	}
+	return p
+}
+
 func testTopology() *blueprint.Topology {
 	return &blueprint.Topology{
 		N: 5,
@@ -149,8 +184,8 @@ func TestEmpiricalDistribution(t *testing.T) {
 	if math.Abs(got-0.2) > 1e-12 {
 		t.Errorf("Prob(0 clear, 1 blocked) = %v, want 0.2", got)
 	}
-	if e.Total() != 5 {
-		t.Errorf("Total = %d", e.Total())
+	if e.total != 5 {
+		t.Errorf("total = %d", e.total)
 	}
 }
 

@@ -40,22 +40,9 @@ func (l *LBT) DrawBackoffSlots(r *rng.Source) int { return r.Intn(l.cw + 1) }
 // energy (dBm) observed at the sensing node.
 func (l *LBT) ClearAt(energyDBm float64) bool { return energyDBm < l.ThresholdDBm }
 
-// UECCA is the single-shot clear-channel assessment a UE performs
-// immediately before transmitting on an uplink grant: a 25 µs
-// observation; if the energy exceeds the threshold the UE abandons the
-// grant (it cannot defer into someone else's scheduled subframe).
-type UECCA struct {
-	// ThresholdDBm is the UE's energy-detection threshold.
-	ThresholdDBm float64
-	// WindowUS is the CCA observation window length.
-	WindowUS int64
-}
-
-// NewUECCA returns the standard 25 µs UE CCA at the given threshold.
-func NewUECCA(thresholdDBm float64) UECCA {
-	return UECCA{ThresholdDBm: thresholdDBm, WindowUS: 25}
-}
-
-// Clear reports whether the UE may transmit given the peak interference
-// energy (dBm) it observed during the CCA window.
-func (c UECCA) Clear(peakEnergyDBm float64) bool { return peakEnergyDBm < c.ThresholdDBm }
+// UECCAWindowUS is the length of the single-shot clear-channel
+// assessment a UE performs immediately before transmitting on an uplink
+// grant: a 25 µs observation; if the energy exceeds the threshold the UE
+// abandons the grant (it cannot defer into someone else's scheduled
+// subframe).
+const UECCAWindowUS = 25

@@ -18,20 +18,9 @@ import (
 	"blu/internal/phy"
 )
 
-// Frame and TxOP structure constants from the paper's testbed
-// configuration: a 10 MHz carrier, grants issued in bursts of three
-// subframes, TxOPs of 2–10 ms.
-const (
-	// SubframesPerBurst is the grant burst length used in the testbed
-	// ("the eNB schedules grants to each UE in bursts of three
-	// subframes").
-	SubframesPerBurst = 3
-	// MaxTxOPSubframes is the longest LAA TxOP (10 ms).
-	MaxTxOPSubframes = 10
-	// DefaultK is the maximum number of distinct UEs schedulable in one
-	// subframe, limited by control signaling (Section 3.3, K < 10).
-	DefaultK = 8
-)
+// DefaultK is the maximum number of distinct UEs schedulable in one
+// subframe, limited by control signaling (Section 3.3, K < 10).
+const DefaultK = 8
 
 // Grant is one uplink scheduling grant: UE ue may transmit on resource
 // block rb of uplink subframe sf. Over-scheduling issues several grants
@@ -136,18 +125,6 @@ type RBResult struct {
 	// Bits[i] is the payload delivered by Scheduled[i] (0 unless
 	// success).
 	Bits []float64
-}
-
-// Transmitted reports how many scheduled UEs actually transmitted
-// (passed CCA), i.e. whose pilots the eNB received.
-func (r *RBResult) Transmitted() int {
-	n := 0
-	for _, o := range r.Outcomes {
-		if o == OutcomeCollision || o == OutcomeFading || o == OutcomeSuccess {
-			n++
-		}
-	}
-	return n
 }
 
 // Utilized reports whether the RB carried at least one decoded stream.

@@ -30,6 +30,18 @@ func TestScheduleValidate(t *testing.T) {
 	}
 }
 
+// Transmitted reports how many scheduled UEs actually transmitted
+// (passed CCA), i.e. whose pilots the eNB received.
+func (r *RBResult) Transmitted() int {
+	n := 0
+	for _, o := range r.Outcomes {
+		if o == OutcomeCollision || o == OutcomeFading || o == OutcomeSuccess {
+			n++
+		}
+	}
+	return n
+}
+
 func mcsFor(t *testing.T, snr float64) phy.MCS {
 	t.Helper()
 	m, ok := phy.SelectMCS(snr)
@@ -165,16 +177,6 @@ func TestLBT(t *testing.T) {
 	l.Reset()
 	if l.cw != l.CWMin {
 		t.Error("reset did not restore CWMin")
-	}
-}
-
-func TestUECCA(t *testing.T) {
-	cca := NewUECCA(phy.EnergyDetectThresholdDBm)
-	if cca.WindowUS != 25 {
-		t.Errorf("window = %d", cca.WindowUS)
-	}
-	if !cca.Clear(-90) || cca.Clear(-65) {
-		t.Error("CCA threshold comparison wrong")
 	}
 }
 

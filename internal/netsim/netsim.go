@@ -143,40 +143,6 @@ func floorFor(nodes int) geom.Floor {
 	return geom.Floor{Width: side, Height: side * 0.7}
 }
 
-// MeasureTriples augments measurements with every third-order joint
-// access probability p(i,j,k), computed from the cell's access masks —
-// the §3.5 extension for skewed topologies. Cost grows as C(N,3), so
-// it is only worthwhile when pair-wise constraints underdetermine the
-// blueprint.
-func MeasureTriples(cell *sim.Cell, m *blueprint.Measurements) {
-	n := cell.NumUE()
-	total := cell.Subframes()
-	counts := make(map[[3]int]int)
-	for sf := 0; sf < total; sf++ {
-		mask := cell.AccessMask(sf)
-		members := mask.Members()
-		for a := 0; a < len(members); a++ {
-			for b := a + 1; b < len(members); b++ {
-				for c := b + 1; c < len(members); c++ {
-					counts[[3]int{members[a], members[b], members[c]}]++
-				}
-			}
-		}
-	}
-	floor := 1e-4
-	for i := 0; i < n; i++ {
-		for j := i + 1; j < n; j++ {
-			for k := j + 1; k < n; k++ {
-				p := float64(counts[[3]int{i, j, k}]) / float64(total)
-				if p < floor {
-					p = floor
-				}
-				m.SetTriple(i, j, k, p)
-			}
-		}
-	}
-}
-
 // MeasureFromMasks computes the empirical access distributions from
 // the cell's full per-subframe access masks — the way the paper derives
 // p(i) and p(i,j) from promiscuous-mode WiFi activity traces captured

@@ -424,6 +424,3 @@ func (s *Store) Abort() {
 		s.seg = nil
 	}
 }
-
-// Dir returns the state directory the store was opened on.
-func (s *Store) Dir() string { return s.dir }

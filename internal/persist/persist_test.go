@@ -259,6 +259,67 @@ func TestRecoveryTornWrite(t *testing.T) {
 	}
 }
 
+// TestRecoveryTruncatedTail cuts up to five records off the end of a
+// segment (a filesystem that gave back less than was acknowledged), so
+// cuts land on record boundaries and inside records alike. Recovery
+// must replay exactly the records wholly inside the kept prefix, byte
+// for byte, and count a record cut in half as damage.
+func TestRecoveryTruncatedTail(t *testing.T) {
+	dir := t.TempDir()
+	s, _ := openForTest(t, dir, slowOpts, nil, nil)
+	const n = 30
+	for i := 0; i < n; i++ {
+		if _, err := s.Append(payload(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	seg := filepath.Join(dir, segmentName(1))
+	data, err := os.ReadFile(seg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	recordLen := len(appendWALRecord(nil, 1, payload(0)))
+	if len(data) != walHeaderLen+n*recordLen {
+		t.Fatalf("segment is %d bytes, want header + %d records of %d", len(data), n, recordLen)
+	}
+	partial := 0
+	for seed := uint64(1); seed <= 20; seed++ {
+		cut := faults.Truncate(seed, data, 5*recordLen)
+		if err := os.WriteFile(seg, cut, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		var rl replayLog
+		s2, stats := openForTest(t, dir, slowOpts, nil, rl.fn)
+		s2.Abort()
+		os.Remove(filepath.Join(dir, segmentName(stats.NextLSN)))
+
+		whole := (len(cut) - walHeaderLen) / recordLen
+		torn := (len(cut)-walHeaderLen)%recordLen != 0
+		if stats.WALReplayed != whole || len(rl.payloads) != whole {
+			t.Fatalf("seed %d: kept %d bytes, replayed %d records, want the %d wholly kept", seed, len(cut), stats.WALReplayed, whole)
+		}
+		for i, p := range rl.payloads {
+			if rl.lsns[i] != uint64(i+1) || !bytes.Equal(p, payload(i)) {
+				t.Fatalf("seed %d: replay %d = lsn %d %q, want lsn %d %q", seed, i, rl.lsns[i], p, i+1, payload(i))
+			}
+		}
+		wantDropped := 0
+		if torn {
+			wantDropped = 1
+			partial++
+		}
+		if stats.CorruptDropped != wantDropped {
+			t.Fatalf("seed %d: cut inside a record = %v, CorruptDropped = %d, want %d", seed, torn, stats.CorruptDropped, wantDropped)
+		}
+	}
+	if partial == 0 {
+		t.Fatal("no seed cut inside a record")
+	}
+}
+
 func TestRecoverySkipsBitFlippedRecordInPlace(t *testing.T) {
 	// Hand-build a segment and flip one payload byte of the second
 	// record: recovery must skip exactly that record and keep the rest.

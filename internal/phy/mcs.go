@@ -73,22 +73,6 @@ func DataREsPerRB() int {
 	return SubcarriersPerRB * (SymbolsPerSubframe - PilotSymbolsPerSubframe)
 }
 
-// RBRateBps returns the data rate in bits/s delivered by one RB
-// scheduled every subframe at the given MCS.
-func RBRateBps(m MCS) float64 {
-	bitsPerSubframe := float64(DataREsPerRB()) * m.Efficiency
-	return bitsPerSubframe * 1000 // subframes per second
-}
-
-// ShannonRBRateBps returns a Shannon-bound RB rate for comparison and
-// for smooth rate curves in tests.
-func ShannonRBRateBps(sinrDB float64) float64 {
-	sinr := math.Pow(10, sinrDB/10)
-	bpsPerHz := math.Log2(1 + sinr)
-	const rbBandwidthHz = 180e3
-	return bpsPerHz * rbBandwidthHz
-}
-
 // MUMIMOStreamSINRdB derates a single-stream SINR for an M-antenna
 // zero-forcing receiver resolving nstreams concurrent streams: the array
 // loses (nstreams−1) degrees of freedom of diversity, modeled as a

@@ -1,5 +1,5 @@
 // Package phy models the physical layer the paper's WARP SDR testbed
-// provides in hardware: dBm/milliwatt arithmetic, indoor path loss with
+// provides in hardware: sensing thresholds, indoor path loss with
 // log-normal shadowing, block fading, and the SINR→MCS→rate mapping of a
 // 10 MHz LTE carrier.
 //
@@ -27,8 +27,6 @@ const (
 	// detection threshold (the stricter −70 dBm end is the default; the
 	// paper quotes [−70, −65] dBm).
 	EnergyDetectThresholdDBm = -70.0
-	// EnergyDetectLooseDBm is the loose end of the ED range.
-	EnergyDetectLooseDBm = -65.0
 
 	// DefaultTxPowerDBm is the transmit power used by WiFi stations and
 	// LTE UEs in the enterprise scenarios (typical indoor 100 mW class,
@@ -39,27 +37,6 @@ const (
 	// (−174 dBm/Hz + 10·log10(10e6) ≈ −104 dBm) plus a 6 dB noise figure.
 	NoiseFloorDBm = -98.0
 )
-
-// MilliwattFromDBm converts dBm to linear milliwatts.
-func MilliwattFromDBm(dbm float64) float64 { return math.Pow(10, dbm/10) }
-
-// DBmFromMilliwatt converts linear milliwatts to dBm. Zero or negative
-// power maps to -Inf.
-func DBmFromMilliwatt(mw float64) float64 {
-	if mw <= 0 {
-		return math.Inf(-1)
-	}
-	return 10 * math.Log10(mw)
-}
-
-// SumDBm adds powers expressed in dBm in the linear domain.
-func SumDBm(dbms ...float64) float64 {
-	var mw float64
-	for _, d := range dbms {
-		mw += MilliwattFromDBm(d)
-	}
-	return DBmFromMilliwatt(mw)
-}
 
 // PathLoss is an indoor propagation model producing loss in dB over a
 // distance in meters.

@@ -3,51 +3,24 @@ package phy
 import (
 	"math"
 	"testing"
-	"testing/quick"
 
 	"blu/internal/rng"
 )
 
-func TestDBmConversions(t *testing.T) {
-	cases := []struct{ dbm, mw float64 }{
-		{0, 1}, {10, 10}, {20, 100}, {-30, 0.001},
-	}
-	for _, c := range cases {
-		if got := MilliwattFromDBm(c.dbm); math.Abs(got-c.mw) > 1e-9 {
-			t.Errorf("MilliwattFromDBm(%v) = %v, want %v", c.dbm, got, c.mw)
-		}
-		if got := DBmFromMilliwatt(c.mw); math.Abs(got-c.dbm) > 1e-9 {
-			t.Errorf("DBmFromMilliwatt(%v) = %v, want %v", c.mw, got, c.dbm)
-		}
-	}
-	if !math.IsInf(DBmFromMilliwatt(0), -1) {
-		t.Error("zero power should be -Inf dBm")
-	}
+// RBRateBps returns the data rate in bits/s delivered by one RB
+// scheduled every subframe at the given MCS.
+func RBRateBps(m MCS) float64 {
+	bitsPerSubframe := float64(DataREsPerRB()) * m.Efficiency
+	return bitsPerSubframe * 1000 // subframes per second
 }
 
-func TestDBmRoundTripProperty(t *testing.T) {
-	f := func(raw float64) bool {
-		dbm := math.Mod(raw, 100)
-		if math.IsNaN(dbm) {
-			return true
-		}
-		back := DBmFromMilliwatt(MilliwattFromDBm(dbm))
-		return math.Abs(back-dbm) < 1e-9
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestSumDBm(t *testing.T) {
-	// Two equal powers add 3 dB.
-	if got := SumDBm(-70, -70); math.Abs(got-(-70+10*math.Log10(2))) > 1e-9 {
-		t.Errorf("SumDBm(-70,-70) = %v", got)
-	}
-	// A much weaker signal barely contributes.
-	if got := SumDBm(-50, -90); got > -49.9 || got < -50 {
-		t.Errorf("SumDBm(-50,-90) = %v", got)
-	}
+// ShannonRBRateBps returns a Shannon-bound RB rate for comparison and
+// for smooth rate curves in tests.
+func ShannonRBRateBps(sinrDB float64) float64 {
+	sinr := math.Pow(10, sinrDB/10)
+	bpsPerHz := math.Log2(1 + sinr)
+	const rbBandwidthHz = 180e3
+	return bpsPerHz * rbBandwidthHz
 }
 
 func TestLogDistanceMonotonic(t *testing.T) {

@@ -33,7 +33,7 @@ func tablesTopology(seed uint64, n, hts int) *blueprint.Topology {
 // reversed is topo with its hidden-terminal list in the opposite order:
 // the same blueprint to a reader, a different one to the cache.
 func reversed(topo *blueprint.Topology) *blueprint.Topology {
-	out := topo.Clone()
+	out := &blueprint.Topology{N: topo.N, HTs: append([]blueprint.HiddenTerminal(nil), topo.HTs...)}
 	for i, j := 0, len(out.HTs)-1; i < j; i, j = i+1, j-1 {
 		out.HTs[i], out.HTs[j] = out.HTs[j], out.HTs[i]
 	}

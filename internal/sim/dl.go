@@ -1,7 +1,6 @@
 package sim
 
 import (
-	"blu/internal/blueprint"
 	"blu/internal/lte"
 	"blu/internal/phy"
 )
@@ -14,10 +13,6 @@ import (
 // transmissions is impossible (the eNB sends them itself), but
 // access-aware scheduling (Eqn 5) driven by the blueprint steers DL
 // allocations toward clients whose interferers are likely idle.
-
-// DLInterfered returns the UEs whose downlink reception is corrupted by
-// hidden-terminal energy in subframe sf.
-func (c *Cell) DLInterfered(sf int) blueprint.ClientSet { return c.dlInterfered[sf] }
 
 // DLCleanProb returns the fraction of subframes in which UE i's
 // downlink is free of hidden-terminal energy — the DL analogue of the

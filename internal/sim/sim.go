@@ -300,7 +300,6 @@ func (c *Cell) edgesAt(sf int) []blueprint.ClientSet {
 // from the station activity timelines, edges and eNB audibility.
 func (c *Cell) computeMasks() {
 	cfg := c.cfg
-	cca := lte.NewUECCA(0) // only WindowUS is used here
 	c.access = make([]blueprint.ClientSet, cfg.Subframes)
 	c.dlInterfered = make([]blueprint.ClientSet, cfg.Subframes)
 	c.enbClear = make([]bool, cfg.Subframes)
@@ -308,7 +307,7 @@ func (c *Cell) computeMasks() {
 	for sf := 0; sf < cfg.Subframes; sf++ {
 		burstStart := sf - sf%cfg.BurstSubframes
 		t0 := int64(burstStart) * phy.SubframeDurationUS
-		t1 := t0 + cca.WindowUS
+		t1 := t0 + lte.UECCAWindowUS
 		sfStart := int64(sf) * phy.SubframeDurationUS
 		sfEnd := sfStart + phy.SubframeDurationUS
 		edges := c.edgesAt(sf)
@@ -397,10 +396,6 @@ func (c *Cell) Faults() *faults.Injector { return c.inj }
 
 // Subframes returns the simulated horizon length.
 func (c *Cell) Subframes() int { return c.cfg.Subframes }
-
-// Airtime returns station k's channel-busy fraction (its q(k) ground
-// truth up to CCA-window effects).
-func (c *Cell) Airtime(k int) float64 { return c.airtime[k] }
 
 // AccessMask returns which UEs pass CCA in subframe sf.
 func (c *Cell) AccessMask(sf int) blueprint.ClientSet { return c.access[sf] }

@@ -1,7 +1,6 @@
 // Package stats provides the small set of statistics used by the
-// simulator and the experiment harnesses: summary statistics, empirical
-// CDFs, exponentially weighted moving averages, and binomial confidence
-// intervals for access-probability estimates.
+// simulator and the experiment harnesses: means, percentiles, and
+// binomial confidence intervals for access-probability estimates.
 package stats
 
 import (
@@ -13,7 +12,7 @@ import (
 	"blu/internal/obs"
 )
 
-// nanSamples counts NaN samples dropped by Percentile and Histogram;
+// nanSamples counts NaN samples dropped by Percentile;
 // a nonzero value in a run manifest flags an upstream numerical bug.
 var nanSamples = obs.GetCounter("stats_nan_samples_total")
 
@@ -54,52 +53,6 @@ func Mean(xs []float64) float64 {
 	return s / float64(len(xs))
 }
 
-// Variance returns the unbiased sample variance of xs (0 for n < 2).
-func Variance(xs []float64) float64 {
-	n := len(xs)
-	if n < 2 {
-		return 0
-	}
-	m := Mean(xs)
-	var s float64
-	for _, x := range xs {
-		d := x - m
-		s += d * d
-	}
-	return s / float64(n-1)
-}
-
-// StdDev returns the sample standard deviation of xs.
-func StdDev(xs []float64) float64 { return math.Sqrt(Variance(xs)) }
-
-// Min returns the minimum of xs; it panics on an empty slice.
-func Min(xs []float64) float64 {
-	if len(xs) == 0 {
-		panic(ErrEmpty)
-	}
-	m := xs[0]
-	for _, x := range xs[1:] {
-		if x < m {
-			m = x
-		}
-	}
-	return m
-}
-
-// Max returns the maximum of xs; it panics on an empty slice.
-func Max(xs []float64) float64 {
-	if len(xs) == 0 {
-		panic(ErrEmpty)
-	}
-	m := xs[0]
-	for _, x := range xs[1:] {
-		if x > m {
-			m = x
-		}
-	}
-	return m
-}
-
 // Percentile returns the p-th percentile (p in [0,100]) of xs using
 // linear interpolation between closest ranks. NaN samples are dropped
 // (and counted in the stats_nan_samples_total metric) — a NaN would
@@ -131,115 +84,6 @@ func Percentile(xs []float64, p float64) (float64, error) {
 // Median returns the 50th percentile of xs.
 func Median(xs []float64) (float64, error) { return Percentile(xs, 50) }
 
-// CDF is an empirical cumulative distribution function over a sample.
-type CDF struct {
-	sorted []float64
-}
-
-// NewCDF builds an empirical CDF from xs. The input is copied.
-func NewCDF(xs []float64) *CDF {
-	s := append([]float64(nil), xs...)
-	sort.Float64s(s)
-	return &CDF{sorted: s}
-}
-
-// Len returns the number of samples behind the CDF.
-func (c *CDF) Len() int { return len(c.sorted) }
-
-// At returns F(x) = P(X <= x), the fraction of samples <= x.
-func (c *CDF) At(x float64) float64 {
-	if len(c.sorted) == 0 {
-		return 0
-	}
-	n := sort.SearchFloat64s(c.sorted, math.Nextafter(x, math.Inf(1)))
-	return float64(n) / float64(len(c.sorted))
-}
-
-// Quantile returns the smallest sample value v with F(v) >= q, for
-// q in (0, 1]. Quantile(0) returns the smallest sample.
-func (c *CDF) Quantile(q float64) (float64, error) {
-	if len(c.sorted) == 0 {
-		return 0, ErrEmpty
-	}
-	if q <= 0 {
-		return c.sorted[0], nil
-	}
-	if q > 1 {
-		return 0, fmt.Errorf("stats: quantile %v out of range (0,1]", q)
-	}
-	idx := int(math.Ceil(q*float64(len(c.sorted)))) - 1
-	if idx < 0 {
-		idx = 0
-	}
-	return c.sorted[idx], nil
-}
-
-// Points returns up to n evenly spaced (x, F(x)) points suitable for
-// plotting the CDF as the paper's figures do.
-func (c *CDF) Points(n int) [][2]float64 {
-	if len(c.sorted) == 0 || n <= 0 {
-		return nil
-	}
-	if n > len(c.sorted) {
-		n = len(c.sorted)
-	}
-	pts := make([][2]float64, 0, n)
-	for i := 0; i < n; i++ {
-		idx := i * (len(c.sorted) - 1) / max(n-1, 1)
-		x := c.sorted[idx]
-		pts = append(pts, [2]float64{x, float64(idx+1) / float64(len(c.sorted))})
-	}
-	return pts
-}
-
-// EWMA is the exponentially weighted moving average used for the PF
-// scheduler's average-throughput tracking: R(t) = x/α + (1−1/α)·R(t−1).
-// The zero value has α=0 and is unusable; construct with NewEWMA.
-type EWMA struct {
-	alpha   float64 // window length α (>= 1); weight of new sample is 1/α
-	value   float64
-	started bool
-}
-
-// NewEWMA returns an EWMA with window parameter alpha (alpha >= 1).
-// Larger alpha forgets more slowly.
-func NewEWMA(alpha float64) *EWMA {
-	if alpha < 1 {
-		alpha = 1
-	}
-	return &EWMA{alpha: alpha}
-}
-
-// Update folds sample x into the average and returns the new value.
-// The first update seeds the average with x itself so a client's R_i does
-// not start at an artificial zero (which would make 1/R_i blow up).
-func (e *EWMA) Update(x float64) float64 {
-	if !e.started {
-		e.value = x
-		e.started = true
-		return e.value
-	}
-	e.value = x/e.alpha + (1-1/e.alpha)*e.value
-	return e.value
-}
-
-// Decay folds a zero sample (an unscheduled subframe) into the average.
-// Before any real sample it is a no-op: seeding the average with a zero
-// would defeat Update's seed-with-first-sample contract and re-create
-// the 1/R_i blow-up for clients whose first subframes are unscheduled.
-func (e *EWMA) Decay() float64 {
-	if !e.started {
-		return e.value
-	}
-	return e.Update(0)
-}
-
-// Value returns the current average (0 before any update).
-func (e *EWMA) Value() float64 { return e.value }
-
-// Set overwrites the current average, marking the EWMA as started.
-func (e *EWMA) Set(v float64) { e.value, e.started = v, true }
-
 // WilsonInterval returns the Wilson score interval for a binomial
 // proportion with k successes out of n trials at ~95% confidence. It is
 // used to attach uncertainty to measured access probabilities.
@@ -270,31 +114,4 @@ func WilsonInterval(k, n int) (lo, hi float64) {
 		hi = 1
 	}
 	return lo, hi
-}
-
-// Histogram counts samples into nbins equal-width bins over [lo, hi].
-// Samples outside the range clamp to the first/last bin; NaN samples
-// are dropped (the int conversion of a NaN is implementation-defined)
-// and counted in the stats_nan_samples_total metric.
-func Histogram(xs []float64, lo, hi float64, nbins int) []int {
-	if nbins <= 0 || hi <= lo {
-		return nil
-	}
-	counts := make([]int, nbins)
-	w := (hi - lo) / float64(nbins)
-	for _, x := range xs {
-		if math.IsNaN(x) {
-			nanSamples.Inc()
-			continue
-		}
-		b := int((x - lo) / w)
-		if b < 0 {
-			b = 0
-		}
-		if b >= nbins {
-			b = nbins - 1
-		}
-		counts[b]++
-	}
-	return counts
 }

@@ -3,35 +3,18 @@ package stats
 import (
 	"math"
 	"testing"
-	"testing/quick"
 
 	"blu/internal/obs"
 )
 
-func TestMeanVariance(t *testing.T) {
+func TestMean(t *testing.T) {
 	xs := []float64{2, 4, 4, 4, 5, 5, 7, 9}
 	if m := Mean(xs); m != 5 {
 		t.Errorf("Mean = %v, want 5", m)
 	}
-	if v := Variance(xs); math.Abs(v-32.0/7) > 1e-12 {
-		t.Errorf("Variance = %v, want %v", v, 32.0/7)
+	if Mean(nil) != 0 {
+		t.Error("empty mean not zero")
 	}
-	if Mean(nil) != 0 || Variance(nil) != 0 || Variance([]float64{1}) != 0 {
-		t.Error("degenerate inputs not zero")
-	}
-}
-
-func TestMinMax(t *testing.T) {
-	xs := []float64{3, -1, 4, 1, 5}
-	if Min(xs) != -1 || Max(xs) != 5 {
-		t.Errorf("Min/Max = %v/%v", Min(xs), Max(xs))
-	}
-	defer func() {
-		if recover() == nil {
-			t.Error("Min(nil) did not panic")
-		}
-	}()
-	Min(nil)
 }
 
 func TestPercentile(t *testing.T) {
@@ -66,112 +49,6 @@ func TestPercentileDoesNotMutateInput(t *testing.T) {
 	}
 	if xs[0] != 3 || xs[1] != 1 || xs[2] != 2 {
 		t.Errorf("input mutated: %v", xs)
-	}
-}
-
-func TestCDF(t *testing.T) {
-	c := NewCDF([]float64{1, 2, 2, 3})
-	cases := []struct{ x, want float64 }{
-		{0.5, 0}, {1, 0.25}, {2, 0.75}, {2.5, 0.75}, {3, 1}, {10, 1},
-	}
-	for _, cse := range cases {
-		if got := c.At(cse.x); math.Abs(got-cse.want) > 1e-12 {
-			t.Errorf("At(%v) = %v, want %v", cse.x, got, cse.want)
-		}
-	}
-	if q, _ := c.Quantile(0.5); q != 2 {
-		t.Errorf("Quantile(0.5) = %v, want 2", q)
-	}
-	if q, _ := c.Quantile(1); q != 3 {
-		t.Errorf("Quantile(1) = %v, want 3", q)
-	}
-	if _, err := c.Quantile(1.5); err == nil {
-		t.Error("quantile > 1 accepted")
-	}
-	if pts := c.Points(3); len(pts) != 3 || pts[2][1] != 1 {
-		t.Errorf("Points = %v", pts)
-	}
-}
-
-func TestCDFQuantileAtInverse(t *testing.T) {
-	f := func(raw []float64) bool {
-		if len(raw) == 0 {
-			return true
-		}
-		xs := make([]float64, len(raw))
-		for i, v := range raw {
-			if math.IsNaN(v) || math.IsInf(v, 0) {
-				v = 0
-			}
-			xs[i] = v
-		}
-		c := NewCDF(xs)
-		for _, q := range []float64{0.1, 0.5, 0.9, 1} {
-			v, err := c.Quantile(q)
-			if err != nil {
-				return false
-			}
-			// F(Quantile(q)) >= q by definition.
-			if c.At(v) < q-1e-12 {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestEWMA(t *testing.T) {
-	e := NewEWMA(10)
-	if got := e.Update(100); got != 100 {
-		t.Errorf("first update = %v, want seed value", got)
-	}
-	got := e.Update(0)
-	want := 0.0/10 + 0.9*100
-	if math.Abs(got-want) > 1e-12 {
-		t.Errorf("second update = %v, want %v", got, want)
-	}
-	e.Decay()
-	if e.Value() >= got {
-		t.Error("decay did not reduce value")
-	}
-	e.Set(5)
-	if e.Value() != 5 {
-		t.Error("Set did not override")
-	}
-}
-
-// TestEWMADecayBeforeFirstSample is the regression test for the PF
-// R_i warm-up bug: a client whose first subframes are unscheduled sees
-// Decay() before any real sample. Decay must not seed the average at 0
-// (which would mark the EWMA started, defeat Update's
-// seed-with-first-sample contract, and blow up a 1/R_i metric).
-func TestEWMADecayBeforeFirstSample(t *testing.T) {
-	e := NewEWMA(10)
-	for i := 0; i < 5; i++ {
-		if got := e.Decay(); got != 0 {
-			t.Fatalf("Decay on fresh EWMA = %v, want 0", got)
-		}
-	}
-	// The first real sample must still seed the average exactly, as if
-	// the idle subframes never happened.
-	if got := e.Update(100); got != 100 {
-		t.Errorf("first update after idle decays = %v, want seed value 100", got)
-	}
-	// And subsequent decays now take effect.
-	if got := e.Decay(); got != 90 {
-		t.Errorf("decay after seeding = %v, want 90", got)
-	}
-}
-
-func TestEWMAAlphaFloor(t *testing.T) {
-	e := NewEWMA(0.1) // clamped to 1: no memory
-	e.Update(3)
-	e.Update(7)
-	if e.Value() != 7 {
-		t.Errorf("alpha=1 EWMA = %v, want last sample", e.Value())
 	}
 }
 
@@ -241,47 +118,6 @@ func TestWilsonIntervalClampsInputs(t *testing.T) {
 	}
 }
 
-func TestHistogram(t *testing.T) {
-	xs := []float64{-1, 0, 0.1, 0.5, 0.9, 1.0, 2.0}
-	h := Histogram(xs, 0, 1, 2)
-	if len(h) != 2 {
-		t.Fatalf("bins = %v", h)
-	}
-	// -1 and 0 and 0.1 clamp/fall into bin 0; 0.5, 0.9, 1.0, 2.0 in bin 1.
-	if h[0] != 3 || h[1] != 4 {
-		t.Errorf("histogram = %v", h)
-	}
-	if Histogram(xs, 1, 0, 2) != nil || Histogram(xs, 0, 1, 0) != nil {
-		t.Error("invalid configs not rejected")
-	}
-}
-
-func TestHistogramSkipsNaN(t *testing.T) {
-	nan := math.NaN()
-	cases := []struct {
-		name string
-		xs   []float64
-		want []int
-	}{
-		{"all NaN", []float64{nan, nan, nan}, []int{0, 0}},
-		{"mixed", []float64{nan, 0.25, nan, 0.75}, []int{1, 1}},
-		{"leading NaN", []float64{nan, 0.1}, []int{1, 0}},
-		{"no NaN", []float64{0.1, 0.9}, []int{1, 1}},
-	}
-	for _, c := range cases {
-		got := Histogram(c.xs, 0, 1, 2)
-		if len(got) != len(c.want) {
-			t.Fatalf("%s: bins = %v", c.name, got)
-		}
-		for i := range got {
-			if got[i] != c.want[i] {
-				t.Errorf("%s: histogram = %v, want %v", c.name, got, c.want)
-				break
-			}
-		}
-	}
-}
-
 func TestPercentileSkipsNaN(t *testing.T) {
 	nan := math.NaN()
 	cases := []struct {
@@ -319,8 +155,7 @@ func TestNaNSampleCounter(t *testing.T) {
 	obs.Enable()
 	defer obs.Disable()
 	before := nanSamples.Value()
-	Histogram([]float64{math.NaN(), 1, math.NaN()}, 0, 2, 2)
-	if _, err := Percentile([]float64{math.NaN(), 1}, 50); err != nil {
+	if _, err := Percentile([]float64{math.NaN(), 1, math.NaN(), math.NaN()}, 50); err != nil {
 		t.Fatal(err)
 	}
 	if got := nanSamples.Value() - before; got != 3 {

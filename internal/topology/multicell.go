@@ -117,15 +117,6 @@ type CellView struct {
 	Scenario *Scenario
 }
 
-// LocalIndex returns the cell-local index of global UE id g, or -1.
-func (c *CellView) LocalIndex(g int) int {
-	i := sort.SearchInts(c.Members, g)
-	if i < len(c.Members) && c.Members[i] == g {
-		return i
-	}
-	return -1
-}
-
 // MultiScenario is a multi-cell deployment over one shared floor.
 type MultiScenario struct {
 	Floor    geom.Floor
@@ -259,72 +250,6 @@ func NewMultiScenario(cfg MultiConfig, r *rng.Source) (*MultiScenario, error) {
 		})
 	}
 	return ms, nil
-}
-
-// BorderUEs returns the global ids of every UE audible in two or more
-// cells, ascending.
-func (ms *MultiScenario) BorderUEs() []int {
-	var out []int
-	for g := range ms.UEs {
-		if len(ms.AudibleIn[g]) >= 2 {
-			out = append(out, g)
-		}
-	}
-	return out
-}
-
-// CellGroundTruth returns cell c's ground-truth blueprint over its
-// local UE indexing (see Scenario.GroundTruth). airtime follows the
-// shared station indexing; nil uses q = 0.5 everywhere.
-func (ms *MultiScenario) CellGroundTruth(c int, airtime []float64) *blueprint.Topology {
-	return ms.Cells[c].Scenario.GroundTruth(airtime)
-}
-
-// GlobalHT is one hidden terminal expressed over global UE ids — the
-// unit the exchange protocol ships and the fleet map merges.
-type GlobalHT struct {
-	Q       float64
-	Clients []int // global UE ids, ascending
-}
-
-// GlobalGroundTruth merges every cell's ground truth into one global
-// interference map: per-cell HTs are mapped through the local → global
-// id maps and HTs with identical global client sets collapse to one
-// entry (the duplication a multi-cell controller fleet must not solve
-// twice). Returns the merged HTs sorted by client set.
-func (ms *MultiScenario) GlobalGroundTruth(airtime []float64) []GlobalHT {
-	type entry struct {
-		q     float64
-		cells int
-	}
-	merged := map[string]*entry{}
-	sets := map[string][]int{}
-	for c := range ms.Cells {
-		truth := ms.CellGroundTruth(c, airtime)
-		for _, ht := range truth.HTs {
-			globals := make([]int, 0, ht.Clients.Count())
-			ht.Clients.ForEach(func(i int) {
-				globals = append(globals, ms.Cells[c].Members[i])
-			})
-			key := fmt.Sprint(globals)
-			if e, ok := merged[key]; ok {
-				e.cells++
-				continue
-			}
-			merged[key] = &entry{q: ht.Q, cells: 1}
-			sets[key] = globals
-		}
-	}
-	keys := make([]string, 0, len(merged))
-	for k := range merged {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	out := make([]GlobalHT, 0, len(keys))
-	for _, k := range keys {
-		out = append(out, GlobalHT{Q: merged[k].q, Clients: sets[k]})
-	}
-	return out
 }
 
 // gridEdges enumerates adjacent cell pairs on the placement grid.

@@ -1,10 +1,40 @@
 package topology
 
 import (
+	"sort"
 	"testing"
 
+	"blu/internal/blueprint"
 	"blu/internal/rng"
 )
+
+// LocalIndex returns the cell-local index of global UE id g, or -1.
+func (c *CellView) LocalIndex(g int) int {
+	i := sort.SearchInts(c.Members, g)
+	if i < len(c.Members) && c.Members[i] == g {
+		return i
+	}
+	return -1
+}
+
+// BorderUEs returns the global ids of every UE audible in two or more
+// cells, ascending.
+func (ms *MultiScenario) BorderUEs() []int {
+	var out []int
+	for g := range ms.UEs {
+		if len(ms.AudibleIn[g]) >= 2 {
+			out = append(out, g)
+		}
+	}
+	return out
+}
+
+// CellGroundTruth returns cell c's ground-truth blueprint over its
+// local UE indexing (see Scenario.GroundTruth). airtime follows the
+// shared station indexing; nil uses q = 0.5 everywhere.
+func (ms *MultiScenario) CellGroundTruth(c int, airtime []float64) *blueprint.Topology {
+	return ms.Cells[c].Scenario.GroundTruth(airtime)
+}
 
 func TestMultiScenarioDefaults(t *testing.T) {
 	ms, err := NewMultiScenario(MultiConfig{}, rng.New(1))
@@ -118,40 +148,6 @@ func TestMultiScenarioSharedHiddenTerminals(t *testing.T) {
 	}
 	if shared == 0 {
 		t.Fatal("no UE is blocked by hidden terminals in two cells; border geometry is broken")
-	}
-}
-
-// TestMultiScenarioGlobalGroundTruth checks the merged map: it must
-// cover every per-cell HT (through the id maps) and collapse HTs whose
-// global client sets coincide across cells.
-func TestMultiScenarioGlobalGroundTruth(t *testing.T) {
-	ms, err := NewMultiScenario(MultiConfig{}, rng.New(3))
-	if err != nil {
-		t.Fatal(err)
-	}
-	global := ms.GlobalGroundTruth(nil)
-	if len(global) == 0 {
-		t.Fatal("empty global ground truth")
-	}
-	perCell := 0
-	for c := range ms.Cells {
-		perCell += len(ms.CellGroundTruth(c, nil).HTs)
-	}
-	if len(global) >= perCell {
-		t.Fatalf("global map has %d HTs vs %d per-cell entries: nothing merged", len(global), perCell)
-	}
-	for _, ht := range global {
-		if ht.Q <= 0 || ht.Q >= 1 {
-			t.Errorf("merged HT has q=%v", ht.Q)
-		}
-		if len(ht.Clients) == 0 {
-			t.Error("merged HT with no clients")
-		}
-		for i := 1; i < len(ht.Clients); i++ {
-			if ht.Clients[i-1] >= ht.Clients[i] {
-				t.Errorf("merged HT clients not ascending: %v", ht.Clients)
-			}
-		}
 	}
 }
 

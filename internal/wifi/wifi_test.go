@@ -111,8 +111,8 @@ func TestBusyQueries(t *testing.T) {
 		{499, false}, {550, true}, {600, false},
 	}
 	for _, c := range cases {
-		if got := a.BusyAt(c.us); got != c.want {
-			t.Errorf("BusyAt(%d) = %v", c.us, got)
+		if got := a.BusyIn(c.us, c.us+1); got != c.want {
+			t.Errorf("BusyIn(%d, %d) = %v", c.us, c.us+1, got)
 		}
 	}
 	if !a.BusyIn(150, 160) || !a.BusyIn(0, 101) || !a.BusyIn(199, 500) {
