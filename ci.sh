@@ -18,6 +18,21 @@ cd "$(dirname "$0")"
 
 short="${1:-}"
 
+# await_listen OUT PREFIX: poll the daemon output file OUT (up to 10 s)
+# for a line starting with PREFIX and print the rest of that line — the
+# bound address. On timeout, print the daemon's matching .err file and
+# fail.
+await_listen() {
+  for _ in $(seq 1 50); do
+    _line="$(sed -n "s/^$2//p" "$1" 2>/dev/null || true)"
+    [ -n "$_line" ] && { echo "$_line"; return 0; }
+    sleep 0.2
+  done
+  echo "ci: no '$2' line in $1" >&2
+  cat "${1%.out}.err" >&2
+  return 1
+}
+
 echo "== go vet =="
 go vet ./...
 
@@ -110,17 +125,7 @@ go build -race -o "$obsdir/bluload" ./cmd/bluload
 "$obsdir/blud" -addr 127.0.0.1:0 -manifest "$obsdir/blud_manifest.json" \
   >"$obsdir/blud.out" 2>"$obsdir/blud.err" &
 blud_pid=$!
-addr=""
-for _ in $(seq 1 50); do
-  addr="$(sed -n 's/^blud: listening on //p' "$obsdir/blud.out")"
-  [ -n "$addr" ] && break
-  sleep 0.2
-done
-if [ -z "$addr" ]; then
-  echo "ci: blud never reported its address" >&2
-  cat "$obsdir/blud.out" "$obsdir/blud.err" >&2
-  exit 1
-fi
+addr="$(await_listen "$obsdir/blud.out" 'blud: listening on ')"
 "$obsdir/bluload" -addr "$addr" -seed 7 -c 4 -n 200 -o "$obsdir/bench_serve.json" >/dev/null
 go run ./cmd/blumanifest \
   -require-phase Serve/infer,Serve/joint,Serve/schedule \
@@ -167,13 +172,7 @@ statedir="$obsdir/state"
   -snapshot-interval 1s -wal-sync 5ms \
   >"$obsdir/blud2.out" 2>"$obsdir/blud2.err" &
 blud_pid=$!
-addr=""
-for _ in $(seq 1 50); do
-  addr="$(sed -n 's/^blud: listening on //p' "$obsdir/blud2.out")"
-  [ -n "$addr" ] && break
-  sleep 0.2
-done
-[ -n "$addr" ] || { echo "ci: durable blud never reported its address" >&2; cat "$obsdir/blud2.err" >&2; exit 1; }
+addr="$(await_listen "$obsdir/blud2.out" 'blud: listening on ')"
 "$obsdir/bluload" -addr "$addr" -seed 11 -c 4 -n 200 -mix observe >/dev/null
 printf '{"session":"load-a","options":{"seed":424242}}' >"$obsdir/probe.json"
 # Repeated session infers converge on a warm-start fixed point (cold
@@ -195,13 +194,7 @@ blud_pid=""
   -snapshot-interval 1s -wal-sync 5ms -manifest "$obsdir/blud2_manifest.json" \
   >"$obsdir/blud3.out" 2>"$obsdir/blud3.err" &
 blud_pid=$!
-addr=""
-for _ in $(seq 1 50); do
-  addr="$(sed -n 's/^blud: listening on //p' "$obsdir/blud3.out")"
-  [ -n "$addr" ] && break
-  sleep 0.2
-done
-[ -n "$addr" ] || { echo "ci: restarted blud never reported its address" >&2; cat "$obsdir/blud3.err" >&2; exit 1; }
+addr="$(await_listen "$obsdir/blud3.out" 'blud: listening on ')"
 grep -q '^blud: recovered' "$obsdir/blud3.err" || {
   echo "ci: restarted blud did not log its recovery" >&2; cat "$obsdir/blud3.err" >&2; exit 1; }
 "$obsdir/bluprobe" -addr "$addr" -path /v1/infer -body "$obsdir/probe.json" \
@@ -249,23 +242,10 @@ fleet_pids="$s0_pid $s1_pid $s2_pid"
   >"$obsdir/fleet_router.out" 2>"$obsdir/fleet_router.err" &
 router_pid=$!
 fleet_pids="$fleet_pids $router_pid"
-faddr=""
-for _ in $(seq 1 50); do
-  faddr="$(sed -n 's/^blufleet: router listening on //p' "$obsdir/fleet_router.out")"
-  if [ -n "$faddr" ] && \
-     grep -q 'listening on' "$obsdir/fleet_shard-0.out" 2>/dev/null && \
-     grep -q 'listening on' "$obsdir/fleet_shard-1.out" 2>/dev/null && \
-     grep -q 'listening on' "$obsdir/fleet_shard-2.out" 2>/dev/null; then
-    break
-  fi
-  faddr=""
-  sleep 0.2
+faddr="$(await_listen "$obsdir/fleet_router.out" 'blufleet: router listening on ')"
+for _name in shard-0 shard-1 shard-2; do
+  await_listen "$obsdir/fleet_$_name.out" "blufleet: shard $_name listening on " >/dev/null
 done
-if [ -z "$faddr" ]; then
-  echo "ci: fleet never came up" >&2
-  cat "$obsdir"/fleet_*.err >&2
-  exit 1
-fi
 "$obsdir/bluload" -addr "$faddr" -cells 3 -seed 1 -c 4 -n 300 -mix observe >/dev/null
 # Let several exchange intervals elapse over the freshly inferred
 # blueprints so border reports are published and re-received (dedup).
@@ -305,10 +285,7 @@ wait "$s2_pid" 2>/dev/null || true
 rm -f "$obsdir/fleet_shard-2.out" "$obsdir/fleet_shard-2.err"
 s2_pid="$(start_fleet_shard shard-2 "$fs2" -peer shard-0="http://$fs0" -peer shard-1="http://$fs1")"
 fleet_pids="$s0_pid $s1_pid $s2_pid $router_pid"
-for _ in $(seq 1 50); do
-  grep -q 'listening on' "$obsdir/fleet_shard-2.out" 2>/dev/null && break
-  sleep 0.2
-done
+await_listen "$obsdir/fleet_shard-2.out" 'blufleet: shard shard-2 listening on ' >/dev/null
 grep -q '^blufleet: shard shard-2 recovered' "$obsdir/fleet_shard-2.err" || {
   echo "ci: restarted fleet shard did not log its recovery" >&2
   cat "$obsdir/fleet_shard-2.err" >&2
@@ -360,23 +337,10 @@ fleet_pids="$r0_pid $r1_pid $r2_pid"
   >"$obsdir/reshard_router.out" 2>"$obsdir/reshard_router.err" &
 rrouter_pid=$!
 fleet_pids="$fleet_pids $rrouter_pid"
-raddr=""
-for _ in $(seq 1 50); do
-  raddr="$(sed -n 's/^blufleet: router listening on //p' "$obsdir/reshard_router.out")"
-  if [ -n "$raddr" ] && \
-     grep -q 'listening on' "$obsdir/reshard_shard-0.out" 2>/dev/null && \
-     grep -q 'listening on' "$obsdir/reshard_shard-1.out" 2>/dev/null && \
-     grep -q 'listening on' "$obsdir/reshard_shard-2.out" 2>/dev/null; then
-    break
-  fi
-  raddr=""
-  sleep 0.2
+raddr="$(await_listen "$obsdir/reshard_router.out" 'blufleet: router listening on ')"
+for _name in shard-0 shard-1 shard-2; do
+  await_listen "$obsdir/reshard_$_name.out" "blufleet: shard $_name listening on " >/dev/null
 done
-if [ -z "$raddr" ]; then
-  echo "ci: reshard fleet never came up" >&2
-  cat "$obsdir"/reshard_*.err >&2
-  exit 1
-fi
 # Warm two probe sessions to cache hits through the router: cell-2
 # will move to shard-3, cell-3 stays on shard-2 (which loses cell-2
 # and cell-5). The bodies differ in client count — identical
@@ -414,12 +378,7 @@ sleep 1
 r3_pid="$(start_reshard_shard shard-3 "$rs3" 4 \
   -peer shard-0="http://$rs0" -peer shard-1="http://$rs1" -peer shard-2="http://$rs2")"
 fleet_pids="$fleet_pids $r3_pid"
-for _ in $(seq 1 50); do
-  grep -q 'listening on' "$obsdir/reshard_shard-3.out" 2>/dev/null && break
-  sleep 0.2
-done
-grep -q 'listening on' "$obsdir/reshard_shard-3.out" || {
-  echo "ci: shard-3 never came up" >&2; cat "$obsdir/reshard_shard-3.err" >&2; exit 1; }
+await_listen "$obsdir/reshard_shard-3.out" 'blufleet: shard shard-3 listening on ' >/dev/null
 printf '{"action":"add","name":"shard-3","url":"http://%s"}' "$rs3" >"$obsdir/reshard_req.json"
 "$obsdir/bluprobe" -addr "$raddr" -path /v1/fleet/reshard -body "$obsdir/reshard_req.json" \
   -save-body "$obsdir/reshard_resp.json" >/dev/null

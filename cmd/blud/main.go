@@ -28,17 +28,8 @@
 //	                 pick a free port — the bound address is printed as
 //	                 "blud: listening on ADDR")
 //	-workers n       compute pool size (0 = all cores)
-//	-solver-parallel n  per-inference solver parallelism (default 1;
-//	                 throughput comes from concurrent requests)
 //	-queue n         work-queue depth; beyond it requests get 429 +
 //	                 Retry-After (default 64)
-//	-cache n         infer result-cache entries (default 1024, -1 off)
-//	-sessions n      live observe-session bound; past it the LRU
-//	                 session is evicted (default 256)
-//	-window n        windowed-estimator capacity in sealed epochs
-//	                 (default 64)
-//	-timeout d       default per-request deadline (default 30s)
-//	-max-timeout d   cap on client-supplied timeout_ms (default 2m)
 //	-manifest file   write a JSON run manifest here on shutdown
 //	-pprof addr      serve net/http/pprof on addr
 //	-state dir       durable session state under this directory: every
@@ -54,9 +45,10 @@
 //	                 most this window of acknowledged observes
 //	                 (default 25ms; requires -state)
 //
-// Flag ranges are validated up front — a zero session bound, a
-// non-positive window, or an unwritable -state directory is a clear
-// startup error, not a latent panic.
+// Cache, session, window and deadline bounds are constants of
+// internal/serve. Flag ranges are validated up front — a zero queue or
+// an unwritable -state directory is a clear startup error, not a
+// latent panic.
 //
 // SIGTERM or SIGINT triggers a graceful drain: /healthz flips to 503
 // "draining", the listener closes, every accepted request finishes, a
@@ -88,13 +80,7 @@ func run(args []string) error {
 	fs := flag.NewFlagSet("blud", flag.ContinueOnError)
 	addr := fs.String("addr", "127.0.0.1:8245", "listen address (use :0 for a free port)")
 	workers := fs.Int("workers", 0, "compute pool size (0 = all cores)")
-	solverPar := fs.Int("solver-parallel", 1, "per-inference solver parallelism")
 	queue := fs.Int("queue", 64, "work-queue depth (full queue answers 429)")
-	cache := fs.Int("cache", 1024, "infer result-cache entries (-1 disables)")
-	sessions := fs.Int("sessions", 256, "live observe-session bound (LRU beyond it)")
-	window := fs.Int("window", 64, "windowed-estimator capacity in sealed epochs")
-	timeout := fs.Duration("timeout", 30*time.Second, "default per-request deadline")
-	maxTimeout := fs.Duration("max-timeout", 2*time.Minute, "cap on client timeout_ms")
 	manifest := fs.String("manifest", "", "write a JSON run manifest to this file on shutdown")
 	pprofAddr := fs.String("pprof", "", "serve net/http/pprof on this address")
 	stateDir := fs.String("state", "", "durable session state directory (empty = memory-only)")
@@ -108,25 +94,12 @@ func run(args []string) error {
 	}
 
 	// Range-check every bound before anything starts: a bad flag is a
-	// one-line startup error naming the flag, never a latent panic or a
-	// daemon that silently cannot hold a session.
+	// one-line startup error naming the flag, never a latent panic.
 	switch {
 	case *workers < 0:
 		return fmt.Errorf("-workers must be >= 0 (0 = all cores), got %d", *workers)
-	case *solverPar < 0:
-		return fmt.Errorf("-solver-parallel must be >= 0 (0 = all cores), got %d", *solverPar)
 	case *queue < 1:
 		return fmt.Errorf("-queue must be >= 1, got %d", *queue)
-	case *cache < -1:
-		return fmt.Errorf("-cache must be >= -1 (-1 disables), got %d", *cache)
-	case *sessions < 1:
-		return fmt.Errorf("-sessions must be >= 1, got %d", *sessions)
-	case *window < 1:
-		return fmt.Errorf("-window must be >= 1, got %d", *window)
-	case *timeout <= 0:
-		return fmt.Errorf("-timeout must be positive, got %v", *timeout)
-	case *maxTimeout <= 0:
-		return fmt.Errorf("-max-timeout must be positive, got %v", *maxTimeout)
 	}
 	if *stateDir != "" {
 		if *snapInterval <= 0 {
@@ -152,20 +125,14 @@ func run(args []string) error {
 	}
 
 	s, recovered, err := serve.NewDurable(serve.Config{
-		Workers:           *workers,
-		SolverParallelism: *solverPar,
-		QueueDepth:        *queue,
-		CacheEntries:      *cache,
-		MaxSessions:       *sessions,
-		WindowEpochs:      *window,
-		DefaultTimeout:    *timeout,
-		MaxTimeout:        *maxTimeout,
-		ManifestPath:      *manifest,
-		StateDir:          *stateDir,
-		SnapshotInterval:  *snapInterval,
-		WALSyncInterval:   *walSync,
-		Tool:              "blud",
-		Args:              args,
+		Workers:          *workers,
+		QueueDepth:       *queue,
+		ManifestPath:     *manifest,
+		StateDir:         *stateDir,
+		SnapshotInterval: *snapInterval,
+		WALSyncInterval:  *walSync,
+		Tool:             "blud",
+		Args:             args,
 	})
 	if err != nil {
 		return err

@@ -41,7 +41,6 @@
 //	             under dir/<name>; in shard mode the directory is used
 //	             as-is (kill -9 restarts recover digest-identically)
 //	-exchange d  blueprint-exchange interval (default 2s; 0 disables)
-//	-replicas n  ring vnodes per shard (0 = default 128)
 //	-workers n   per-shard compute pool size (0 = all cores)
 //	-queue n     per-shard work-queue depth (default 64)
 //	-snapshot-interval d  periodic snapshot cadence (default 30s;
@@ -87,7 +86,6 @@ func run(args []string) error {
 	name := fs.String("name", "", "this shard's ring identity (shard mode)")
 	stateDir := fs.String("state", "", "durable session state directory")
 	exchange := fs.Duration("exchange", 2*time.Second, "blueprint-exchange interval (0 disables)")
-	replicas := fs.Int("replicas", 0, "ring vnodes per shard (0 = default)")
 	workers := fs.Int("workers", 0, "per-shard compute pool size (0 = all cores)")
 	queue := fs.Int("queue", 64, "per-shard work-queue depth")
 	snapInterval := fs.Duration("snapshot-interval", 30*time.Second, "periodic snapshot cadence (requires -state)")
@@ -136,11 +134,11 @@ func run(args []string) error {
 
 	switch *mode {
 	case "all":
-		return runAll(dir, *shards, *replicas, *addr, *stateDir, *exchange, serveCfg)
+		return runAll(dir, *shards, *addr, *stateDir, *exchange, serveCfg)
 	case "shard":
-		return runShard(dir, *name, *shards, *replicas, *addr, *stateDir, *exchange, peers, serveCfg)
+		return runShard(dir, *name, *shards, *addr, *stateDir, *exchange, peers, serveCfg)
 	case "router":
-		return runRouter(dir, *replicas, *addr, shardURLs)
+		return runRouter(dir, *addr, shardURLs)
 	default:
 		return fmt.Errorf("-mode must be all, shard, or router, got %q", *mode)
 	}
@@ -158,11 +156,10 @@ func kvInto(dst map[string]string) func(string) error {
 	}
 }
 
-func runAll(dir fleet.Directory, shards, replicas int, addr, stateDir string, exchange time.Duration, serveCfg serve.Config) error {
+func runAll(dir fleet.Directory, shards int, addr, stateDir string, exchange time.Duration, serveCfg serve.Config) error {
 	l, err := fleet.StartLocal(fleet.LocalConfig{
 		Shards:           shards,
 		Directory:        dir,
-		Replicas:         replicas,
 		StateDir:         stateDir,
 		Serve:            serveCfg,
 		ExchangeInterval: exchange,
@@ -183,7 +180,7 @@ func runAll(dir fleet.Directory, shards, replicas int, addr, stateDir string, ex
 	return l.Drain(ctx)
 }
 
-func runShard(dir fleet.Directory, name string, shards, replicas int, addr, stateDir string, exchange time.Duration, peers map[string]string, serveCfg serve.Config) error {
+func runShard(dir fleet.Directory, name string, shards int, addr, stateDir string, exchange time.Duration, peers map[string]string, serveCfg serve.Config) error {
 	if name == "" {
 		return fmt.Errorf("-mode shard requires -name")
 	}
@@ -201,7 +198,6 @@ func runShard(dir fleet.Directory, name string, shards, replicas int, addr, stat
 	sh, recovered, err := fleet.NewShard(fleet.ShardConfig{
 		Name:             name,
 		ShardNames:       names,
-		Replicas:         replicas,
 		Directory:        dir,
 		Peers:            peers,
 		Serve:            serveCfg,
@@ -227,13 +223,12 @@ func runShard(dir fleet.Directory, name string, shards, replicas int, addr, stat
 	return sh.Drain(ctx)
 }
 
-func runRouter(dir fleet.Directory, replicas int, addr string, shardURLs map[string]string) error {
+func runRouter(dir fleet.Directory, addr string, shardURLs map[string]string) error {
 	if len(shardURLs) == 0 {
 		return fmt.Errorf("-mode router requires at least one -shard name=url")
 	}
 	rt, err := fleet.NewRouter(fleet.RouterConfig{
 		Shards:    shardURLs,
-		Replicas:  replicas,
 		Directory: dir,
 	})
 	if err != nil {

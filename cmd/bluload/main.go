@@ -18,7 +18,6 @@
 //	-c n         concurrent closed-loop workers (default 4)
 //	-n n         total requests (default 300; ignored when -duration set)
 //	-duration d  run for a wall-clock window instead of a fixed count
-//	-qps q       paced request rate (0 = unpaced closed loop)
 //	-mix m       traffic mix: default (60% inline infer / 20% joint /
 //	             20% schedule) or observe (30% /v1/observe batches, 30%
 //	             session-keyed infers solved from the live windowed
@@ -471,7 +470,6 @@ func run(args []string) error {
 	conc := fs.Int("c", 4, "concurrent closed-loop workers")
 	total := fs.Int64("n", 300, "total requests (ignored when -duration is set)")
 	duration := fs.Duration("duration", 0, "run for this long instead of a fixed count")
-	qps := fs.Float64("qps", 0, "paced request rate (0 = unpaced)")
 	mix := fs.String("mix", "default", "traffic mix: default or observe")
 	cells := fs.Int("cells", 0, "fleet mode: per-cell mix over this many cells through a blufleet router (0 = single daemon)")
 	codec := fs.String("codec", "json", "infer wire codec: json or binary")
@@ -554,14 +552,6 @@ func run(args []string) error {
 				}
 				if !deadline.IsZero() && time.Now().After(deadline) {
 					return
-				}
-				if *qps > 0 {
-					// Pace against the global schedule: request idx is due at
-					// start + idx/qps.
-					due := start.Add(time.Duration(float64(idx) / *qps * float64(time.Second)))
-					if d := time.Until(due); d > 0 {
-						time.Sleep(d)
-					}
 				}
 				ep, body, cellQ := pool.pick(idx)
 				for attempt := 0; ; attempt++ {

@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"blu/internal/blueprint"
 	"blu/internal/faults"
 	"blu/internal/sched"
 	"blu/internal/sim"
@@ -129,12 +130,11 @@ func TestFaultedDeterminismAcrossParallelism(t *testing.T) {
 				t.Fatal(err)
 			}
 			cell := chaosTestCell(t, nUE, nHT, sfs, 67, &sc)
-			cfg := Config{T: 30, L: 600}
-			cfg.InferOptions.Parallelism = par
-			sys, err := NewSystem(cfg, cell)
+			sys, err := NewSystem(Config{T: 30, L: 600}, cell)
 			if err != nil {
 				t.Fatal(err)
 			}
+			sys.inferParallelism = par
 			rep, err := sys.Run()
 			if err != nil {
 				t.Fatalf("%s at parallelism %d: %v", name, par, err)
@@ -233,7 +233,7 @@ func TestRunContextCanceled(t *testing.T) {
 }
 
 // TestLadderEscalation drives decideCycle directly: consecutive gate
-// trips walk speculative → access-aware → PF, the EscalateAfter'th trip
+// trips walk speculative → access-aware → PF, the escalateAfter'th trip
 // resets the estimator (forcing full re-measurement), and a passing
 // cycle climbs straight back to speculative.
 func TestLadderEscalation(t *testing.T) {
@@ -251,7 +251,7 @@ func TestLadderEscalation(t *testing.T) {
 	}
 
 	// An unreachable sample requirement trips the gate every cycle.
-	sys.cfg.GateMinSamples = 1 << 30
+	sys.gateMinSamples = 1 << 30
 	ctx := context.Background()
 	wantLevels := []LadderLevel{LadderAccessAware, LadderPF, LadderPF}
 	for i, want := range wantLevels {
@@ -266,13 +266,13 @@ func TestLadderEscalation(t *testing.T) {
 			t.Errorf("trip %d: level %s, want %s", i+1, dec.level, want)
 		}
 	}
-	// The third consecutive trip (EscalateAfter = 3) reset the estimator.
+	// The third consecutive trip (escalateAfter = 3) reset the estimator.
 	if got := sys.estimator.Samples(0, 1); got != 0 {
 		t.Errorf("estimator kept %d samples after escalation", got)
 	}
 
 	// Gate relaxed: the very next cycle climbs back to speculative.
-	sys.cfg.GateMinSamples = -1
+	sys.gateMinSamples = 0
 	dec, err := sys.decideCycle(ctx, 0, sys.estimator.Measurements(), nil)
 	if err != nil {
 		t.Fatal(err)
@@ -282,6 +282,49 @@ func TestLadderEscalation(t *testing.T) {
 	}
 	if sys.consecTrips != 0 {
 		t.Errorf("consecTrips = %d after recovery, want 0", sys.consecTrips)
+	}
+}
+
+// TestGateTripsOnHighViolation drives the violation rung of the gate:
+// with every pair well sampled, measurements no topology can fit leave
+// a residual above gateMaxViolation, so the cycle trips with reason
+// high-violation and the first trip steps down to access-aware.
+func TestGateTripsOnHighViolation(t *testing.T) {
+	cell := chaosTestCell(t, 4, 6, 2000, 89, nil)
+	sys, err := NewSystem(Config{T: 20, L: 400}, cell)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sys.measurementPhase(0, 2000); err != nil {
+		t.Fatal(err)
+	}
+	if n := sys.minPairSamples(); n < sys.gateMinSamples {
+		t.Fatalf("measurement phase left a pair at %d samples, below the %d the sample rung needs", n, sys.gateMinSamples)
+	}
+
+	// A pair cannot clear together more often than either member clears
+	// alone, so p(0,1) = 0.99 against marginals of 0.2 leaves the best
+	// fit ≈ 1.6 away in the −log domain, far beyond gateMaxViolation.
+	m := blueprint.NewMeasurements(4)
+	for i := range m.P {
+		m.P[i] = 0.2
+		for j := i + 1; j < 4; j++ {
+			m.SetPair(i, j, 0.2*0.2)
+		}
+	}
+	m.SetPair(0, 1, 0.99)
+	dec, err := sys.decideCycle(context.Background(), 0, m, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !dec.tripped || dec.reason != gateReasonViolation {
+		t.Fatalf("tripped=%v reason=%q, want a %q trip", dec.tripped, dec.reason, gateReasonViolation)
+	}
+	if dec.level != LadderAccessAware {
+		t.Errorf("level %s, want %s", dec.level, LadderAccessAware)
+	}
+	if dec.res != nil {
+		t.Error("a tripped cycle kept its blueprint")
 	}
 }
 

@@ -32,7 +32,7 @@ var (
 	obsMeasSubframes = obs.GetCounter("core_measurement_subframes_total")
 	obsSpecSubframes = obs.GetCounter("core_speculative_subframes_total")
 	// obsRefreshPhases counts measurement phases after the first
-	// blueprint: RefreshThreshold-triggered partial re-measurement or a
+	// blueprint: refreshThreshold-triggered partial re-measurement or a
 	// full re-measurement after a drift reset.
 	obsRefreshPhases = obs.GetCounter("core_refresh_phases_total")
 	obsDriftResets   = obs.GetCounter("core_drift_resets_total")
@@ -43,7 +43,9 @@ var (
 	obsDriftGauge    = obs.GetGauge("core_last_drift")
 )
 
-// Config tunes the controller.
+// Config tunes the controller. The zero value selects the paper's
+// choices; everything else about the loop is fixed (see the constants
+// below).
 type Config struct {
 	// T is the number of samples wanted per client pair in a
 	// measurement phase (default 50, the paper's choice).
@@ -51,50 +53,6 @@ type Config struct {
 	// L is the speculative-phase length in subframes (default 5000;
 	// the paper picks L ≫ t_max, several thousand subframes).
 	L int
-	// OverFactor is the speculative scheduler's f (default 2).
-	OverFactor float64
-	// InferOptions tunes topology inference; zero values use the
-	// blueprint defaults.
-	InferOptions blueprint.InferOptions
-	// RefreshThreshold re-runs a measurement phase at the start of a
-	// cycle for any pair with fewer than this many samples (default T).
-	RefreshThreshold int
-	// DriftThreshold triggers a full re-measurement (estimator reset +
-	// fresh measurement phase) when a speculative phase's observed
-	// per-client access rates diverge from the rates measured when its
-	// blueprint was built by more than this amount — the §3.5 response
-	// to client/terminal mobility breaking stationarity (default 0.25;
-	// set negative to disable).
-	DriftThreshold float64
-
-	// InferTimeout is the per-inference-attempt deadline (default 10s;
-	// negative disables). A cell's fault injector may shrink it while a
-	// stall fault is active.
-	InferTimeout time.Duration
-	// InferRetries is how many times a failed inference is retried with
-	// a halved start/perturbation budget before the cycle degrades
-	// (default 2; negative disables retries).
-	InferRetries int
-	// GateMaxViolation is the confidence gate on the blueprint: a cycle
-	// whose InferResult.MaxViolation exceeds it is not trusted and the
-	// controller steps down the ladder (default 0.6; negative disables).
-	// The default is far above healthy residuals (tolerance-scale,
-	// ~0.02) but below the wreckage a poisoned estimator produces.
-	GateMaxViolation float64
-	// GateMinSamples requires every client pair to carry at least this
-	// many co-scheduling samples before a blueprint built on them is
-	// trusted (default max(1, T/4); negative disables).
-	GateMinSamples int
-	// QuarantineTolerance bounds the per-pair marginal-consistency check
-	// run before each inference: pairs outside the consistent region by
-	// more than this (plus a sample-noise allowance) have their pair
-	// statistics dropped and re-measured (default 0.1; negative
-	// disables).
-	QuarantineTolerance float64
-	// EscalateAfter escalates to a full estimator reset — forcing a
-	// complete re-measurement — after this many consecutive gate trips
-	// (default 3; negative disables escalation).
-	EscalateAfter int
 }
 
 func (c Config) withDefaults() Config {
@@ -104,35 +62,40 @@ func (c Config) withDefaults() Config {
 	if c.L <= 0 {
 		c.L = 5000
 	}
-	if c.OverFactor <= 0 {
-		c.OverFactor = 2
-	}
-	if c.RefreshThreshold <= 0 {
-		c.RefreshThreshold = c.T
-	}
-	if c.DriftThreshold == 0 {
-		c.DriftThreshold = 0.25
-	}
-	if c.InferTimeout == 0 {
-		c.InferTimeout = 10 * time.Second
-	}
-	if c.InferRetries == 0 {
-		c.InferRetries = 2
-	}
-	if c.GateMaxViolation == 0 {
-		c.GateMaxViolation = 0.6
-	}
-	if c.GateMinSamples == 0 {
-		c.GateMinSamples = max(1, c.T/4)
-	}
-	if c.QuarantineTolerance == 0 {
-		c.QuarantineTolerance = 0.1
-	}
-	if c.EscalateAfter == 0 {
-		c.EscalateAfter = 3
-	}
 	return c
 }
+
+// The controller's fixed policy. The speculative scheduler keeps its
+// own default over-scheduling factor f = 2, and inference runs with the
+// blueprint defaults.
+const (
+	// defaultDriftThreshold triggers a full re-measurement (estimator
+	// reset + fresh measurement phase) when a speculative phase's
+	// observed per-client access rates diverge from the rates measured
+	// when its blueprint was built by more than this amount — the §3.5
+	// response to client/terminal mobility breaking stationarity.
+	defaultDriftThreshold = 0.25
+	// inferTimeout is the per-inference-attempt deadline. A cell's fault
+	// injector may shrink it while a stall fault is active.
+	inferTimeout = 10 * time.Second
+	// inferRetries is how many times a failed inference is retried with
+	// a halved start/perturbation budget before the cycle degrades.
+	inferRetries = 2
+	// gateMaxViolation is the confidence gate on the blueprint: a cycle
+	// whose InferResult.MaxViolation exceeds it is not trusted and the
+	// controller steps down the ladder. It is far above healthy
+	// residuals (tolerance-scale, ~0.02) but below the wreckage a
+	// poisoned estimator produces.
+	gateMaxViolation = 0.6
+	// quarantineTolerance bounds the per-pair marginal-consistency check
+	// run before each inference: pairs outside the consistent region by
+	// more than this (plus a sample-noise allowance) have their pair
+	// statistics dropped and re-measured.
+	quarantineTolerance = 0.1
+	// escalateAfter escalates to a full estimator reset — forcing a
+	// complete re-measurement — after this many consecutive gate trips.
+	escalateAfter = 3
+)
 
 // PhaseKind labels the controller's operating phases.
 type PhaseKind int
@@ -202,6 +165,17 @@ type System struct {
 	estimator *access.Estimator
 	spec      *sched.Speculative
 
+	// refreshThreshold re-runs a measurement phase at the start of a
+	// cycle for any pair with fewer samples (T); gateMinSamples is the
+	// per-pair sample floor a trusted blueprint needs (max(1, T/4));
+	// driftThreshold is defaultDriftThreshold; inferParallelism is
+	// blueprint.InferOptions.Parallelism (0 = its default). They are
+	// fields, not constants, so tests can move them after NewSystem.
+	refreshThreshold int
+	gateMinSamples   int
+	driftThreshold   float64
+	inferParallelism int
+
 	// Degradation-ladder state: the fallback schedulers, whichever rung
 	// is currently scheduling, and how many consecutive cycles tripped
 	// the confidence gate.
@@ -228,7 +202,6 @@ func NewSystem(cfg Config, cell *sim.Cell) (*System, error) {
 	if err != nil {
 		return nil, fmt.Errorf("core: %w", err)
 	}
-	spec.OverFactor = cfg.OverFactor
 	aa, err := sched.NewAccessAware(cell.Env(), &joint.Independent{P: ones(cell.NumUE())})
 	if err != nil {
 		return nil, fmt.Errorf("core: %w", err)
@@ -238,17 +211,20 @@ func NewSystem(cfg Config, cell *sim.Cell) (*System, error) {
 		return nil, fmt.Errorf("core: %w", err)
 	}
 	return &System{
-		cfg:          cfg,
-		cell:         cell,
-		estimator:    access.NewEstimator(cell.NumUE()),
-		spec:         spec,
-		aa:           aa,
-		pf:           pf,
-		active:       spec,
-		ladder:       LadderSpeculative,
-		inj:          cell.Faults(),
-		recentSched:  make([]int, cell.NumUE()),
-		recentAccess: make([]int, cell.NumUE()),
+		cfg:              cfg,
+		cell:             cell,
+		estimator:        access.NewEstimator(cell.NumUE()),
+		spec:             spec,
+		refreshThreshold: cfg.T,
+		gateMinSamples:   max(1, cfg.T/4),
+		driftThreshold:   defaultDriftThreshold,
+		aa:               aa,
+		pf:               pf,
+		active:           spec,
+		ladder:           LadderSpeculative,
+		inj:              cell.Faults(),
+		recentSched:      make([]int, cell.NumUE()),
+		recentAccess:     make([]int, cell.NumUE()),
 	}, nil
 }
 
@@ -288,7 +264,7 @@ func (s *System) RunContext(ctx context.Context) (*Report, error) {
 		}
 		// Measurement phase, sized by what the estimator still needs. A
 		// phase entered after a blueprint already exists is a refresh:
-		// either RefreshThreshold found under-sampled pairs or a drift
+		// either refreshThreshold found under-sampled pairs or a drift
 		// reset discarded the statistics.
 		refresh := rep.FinalTopology != nil
 		measStart := time.Now()
@@ -314,13 +290,8 @@ func (s *System) RunContext(ctx context.Context) (*Report, error) {
 		// Quarantine poisoned pair statistics before they reach
 		// inference: one inconsistent pair warps the whole constraint
 		// system (Section 3.4).
-		quarantined := 0
-		if s.cfg.QuarantineTolerance > 0 {
-			quarantined = s.estimator.Quarantine(s.cfg.QuarantineTolerance)
-			if quarantined > 0 {
-				obsQuarantined.Add(int64(quarantined))
-			}
-		}
+		quarantined := s.estimator.Quarantine(quarantineTolerance)
+		obsQuarantined.Add(int64(quarantined))
 		meas := s.estimator.Measurements()
 
 		// Blueprint behind the confidence gate and pick the ladder rung.
@@ -365,7 +336,7 @@ func (s *System) RunContext(ctx context.Context) (*Report, error) {
 		obsSpecSubframes.Add(int64(metrics.Subframes))
 		drift := s.drift(baseline)
 		obsDriftGauge.Set(drift)
-		detected := s.cfg.DriftThreshold > 0 && drift > s.cfg.DriftThreshold
+		detected := drift > s.driftThreshold
 		if detected {
 			// Stationarity broke (mobility, traffic change): discard
 			// stale statistics so the next cycle re-measures.
@@ -430,7 +401,7 @@ func abs(x float64) float64 {
 }
 
 // measurementPhase runs Algorithm 1 scheduling from subframe start until
-// every pair has RefreshThreshold samples, returning subframes consumed.
+// every pair has refreshThreshold samples, returning subframes consumed.
 // On the first cycle this is ≈ t_max; later cycles are much shorter
 // because speculative subframes already contributed samples.
 func (s *System) measurementPhase(start, horizon int) (int, error) {
@@ -441,7 +412,7 @@ func (s *System) measurementPhase(start, horizon int) (int, error) {
 	need := false
 	for i := 0; i < n && !need; i++ {
 		for j := i + 1; j < n; j++ {
-			if s.estimator.Samples(i, j) < s.cfg.RefreshThreshold {
+			if s.estimator.Samples(i, j) < s.refreshThreshold {
 				need = true
 				break
 			}

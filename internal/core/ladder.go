@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"time"
 
 	"blu/internal/blueprint"
 	"blu/internal/obs"
@@ -115,12 +114,9 @@ func (s *System) decideCycle(ctx context.Context, sf int, m *blueprint.Measureme
 		}
 	} else {
 		d.res = res
-		if r := s.cfg.GateMinSamples; r > 0 {
-			if n := s.minPairSamples(); n >= 0 && n < r {
-				d.reason = gateReasonSamples
-			}
-		}
-		if d.reason == "" && s.cfg.GateMaxViolation > 0 && res.MaxViolation > s.cfg.GateMaxViolation {
+		if n := s.minPairSamples(); n >= 0 && n < s.gateMinSamples {
+			d.reason = gateReasonSamples
+		} else if res.MaxViolation > gateMaxViolation {
 			d.reason = gateReasonViolation
 		}
 	}
@@ -132,7 +128,7 @@ func (s *System) decideCycle(ctx context.Context, sf int, m *blueprint.Measureme
 
 	// Gate tripped: step down the ladder — one level on the first
 	// consecutive trip, to the floor after that — and escalate to a full
-	// re-measurement once EscalateAfter consecutive cycles failed (the
+	// re-measurement once escalateAfter consecutive cycles failed (the
 	// statistics themselves are suspect, not just this blueprint).
 	d.tripped = true
 	d.res = nil
@@ -143,7 +139,7 @@ func (s *System) decideCycle(ctx context.Context, sf int, m *blueprint.Measureme
 	} else {
 		d.level = LadderPF
 	}
-	if ea := s.cfg.EscalateAfter; ea > 0 && s.consecTrips%ea == 0 {
+	if s.consecTrips%escalateAfter == 0 {
 		s.estimator.Reset()
 		obsEscalations.Inc()
 	}
@@ -157,29 +153,25 @@ func (s *System) decideCycle(ctx context.Context, sf int, m *blueprint.Measureme
 // injector may install a per-iteration stall hook and shrink the
 // deadline while its stall window covers sf.
 func (s *System) inferWithRetry(ctx context.Context, sf int, m *blueprint.Measurements, warm *blueprint.Topology) (*blueprint.InferResult, int, error) {
-	opts := s.cfg.InferOptions
-	opts.WarmStart = warm
-	// Pre-normalize the knobs that back off so halving starts from the
-	// real defaults instead of re-defaulting 0 back up to 8.
-	if opts.RandomStarts <= 0 {
-		opts.RandomStarts = 8
+	// The knobs that back off start from the blueprint defaults spelled
+	// out, so halving does not re-default 0 back up to 8.
+	opts := blueprint.InferOptions{
+		WarmStart:     warm,
+		Parallelism:   s.inferParallelism,
+		RandomStarts:  8,
+		Perturbations: 4,
 	}
-	if opts.Perturbations <= 0 {
-		opts.Perturbations = 4
-	}
-	deadline := s.cfg.InferTimeout
+	deadline := inferTimeout
 	if s.inj != nil {
-		if hook := s.inj.InferStall(sf); hook != nil {
-			opts.IterationHook = chainHooks(s.cfg.InferOptions.IterationHook, hook)
-		}
+		opts.IterationHook = s.inj.InferStall(sf)
 		if d := s.inj.InferDeadline(sf); d > 0 {
 			deadline = d
 		}
 	}
-	attempts := 1 + max(0, s.cfg.InferRetries)
+	const attempts = 1 + inferRetries
 	var lastErr error
 	for attempt := 0; attempt < attempts; attempt++ {
-		ictx, cancel := withOptionalTimeout(ctx, deadline)
+		ictx, cancel := context.WithTimeout(ctx, deadline)
 		res, err := blueprint.InferContext(ictx, m, opts)
 		cancel()
 		if err == nil {
@@ -198,20 +190,6 @@ func (s *System) inferWithRetry(ctx context.Context, sf int, m *blueprint.Measur
 		}
 	}
 	return nil, attempts - 1, fmt.Errorf("%w: %w", ErrInferenceFailed, lastErr)
-}
-
-func withOptionalTimeout(ctx context.Context, d time.Duration) (context.Context, context.CancelFunc) {
-	if d <= 0 {
-		return ctx, func() {}
-	}
-	return context.WithTimeout(ctx, d)
-}
-
-func chainHooks(a, b func()) func() {
-	if a == nil {
-		return b
-	}
-	return func() { a(); b() }
 }
 
 // minPairSamples returns the smallest per-pair sample count, or -1 when

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"testing"
 
 	"blu/internal/sim"
@@ -107,10 +108,11 @@ func TestNoDriftWithoutMobility(t *testing.T) {
 
 func TestDriftDetectionDisabled(t *testing.T) {
 	cell := mobilityCell(t, 12000, 4000, 67)
-	sys, err := NewSystem(Config{T: 40, L: 4000, DriftThreshold: -1}, cell)
+	sys, err := NewSystem(Config{T: 40, L: 4000}, cell)
 	if err != nil {
 		t.Fatal(err)
 	}
+	sys.driftThreshold = math.Inf(1)
 	rep, err := sys.Run()
 	if err != nil {
 		t.Fatal(err)

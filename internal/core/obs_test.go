@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"testing"
 
 	"blu/internal/obs"
@@ -82,7 +83,7 @@ func TestObsPhaseTransitions(t *testing.T) {
 	}
 }
 
-// TestObsRefreshThresholdRemeasurement raises RefreshThreshold above
+// TestObsRefreshThresholdRemeasurement raises refreshThreshold above
 // what speculative-phase observations can supply, forcing a partial
 // re-measurement at the start of the second cycle — visible as a
 // refresh-phase count, not just a second measurement phase.
@@ -94,17 +95,18 @@ func TestObsRefreshThresholdRemeasurement(t *testing.T) {
 	// Pair samples accrue only when two clients are co-scheduled, so a
 	// 2000-subframe speculative phase cannot push every pair past 1200
 	// samples and the next cycle must re-measure.
-	sys, err := NewSystem(Config{T: 30, L: 2000, RefreshThreshold: 1200, DriftThreshold: -1}, cell)
+	sys, err := NewSystem(Config{T: 30, L: 2000}, cell)
 	if err != nil {
 		t.Fatal(err)
 	}
+	sys.refreshThreshold, sys.driftThreshold = 1200, math.Inf(1)
 	before := snapCounters()
 	if _, err := sys.Run(); err != nil {
 		t.Fatal(err)
 	}
 	d := before.delta()
 	if d.refresh < 1 {
-		t.Errorf("refresh phases = %d, want >= 1 with RefreshThreshold above reach", d.refresh)
+		t.Errorf("refresh phases = %d, want >= 1 with refreshThreshold above reach", d.refresh)
 	}
 	if d.measPhases != d.refresh+1 {
 		t.Errorf("measurement phases = %d, want first + %d refreshes", d.measPhases, d.refresh)
@@ -159,10 +161,11 @@ func TestObsRefreshInferenceWarmStarts(t *testing.T) {
 
 	warmCounter := obs.GetCounter("blueprint_warm_starts_total")
 	cell := testCell(t, 6, 9, 9000, 57)
-	sys, err := NewSystem(Config{T: 30, L: 2000, RefreshThreshold: 1200, DriftThreshold: -1}, cell)
+	sys, err := NewSystem(Config{T: 30, L: 2000}, cell)
 	if err != nil {
 		t.Fatal(err)
 	}
+	sys.refreshThreshold, sys.driftThreshold = 1200, math.Inf(1)
 	infers0 := obsInferences.Value()
 	warm0 := warmCounter.Value()
 	if _, err := sys.Run(); err != nil {

@@ -21,8 +21,6 @@ type LocalConfig struct {
 	Shards int
 	// Directory is the fleet-wide cell listing (required).
 	Directory Directory
-	// Replicas is the ring vnode count (0 = default).
-	Replicas int
 	// StateDir, when set, gives each shard a durable state directory
 	// <StateDir>/<shard-name>.
 	StateDir string
@@ -32,14 +30,15 @@ type LocalConfig struct {
 	// ExchangeInterval starts each shard's periodic exchange loop;
 	// zero leaves exchange manual.
 	ExchangeInterval time.Duration
-	// Addr is the listen address family, default "127.0.0.1:0" (every
-	// component picks its own free port).
-	Addr string
-	// RouterAddr, when set, overrides Addr for the router's listener
-	// only — a launcher can pin the public entry port while the shards
-	// keep picking free ones.
+	// RouterAddr, when set, pins the router's listen address — a
+	// launcher's public entry port. Otherwise the router, like every
+	// shard, listens on localAddr.
 	RouterAddr string
 }
+
+// localAddr makes each local-fleet component pick its own free
+// loopback port.
+const localAddr = "127.0.0.1:0"
 
 // Local is a running all-in-one fleet.
 type Local struct {
@@ -58,9 +57,6 @@ func ShardName(i int) string { return fmt.Sprintf("shard-%d", i) }
 func StartLocal(cfg LocalConfig) (*Local, error) {
 	if cfg.Shards <= 0 {
 		cfg.Shards = 3
-	}
-	if cfg.Addr == "" {
-		cfg.Addr = "127.0.0.1:0"
 	}
 	if err := cfg.Directory.Validate(); err != nil {
 		return nil, err
@@ -83,7 +79,6 @@ func StartLocal(cfg LocalConfig) (*Local, error) {
 		scfg := ShardConfig{
 			Name:             names[i],
 			ShardNames:       names,
-			Replicas:         cfg.Replicas,
 			Directory:        cfg.Directory,
 			Serve:            cfg.Serve,
 			ExchangeInterval: cfg.ExchangeInterval,
@@ -95,7 +90,7 @@ func StartLocal(cfg LocalConfig) (*Local, error) {
 		if err != nil {
 			return fail(err)
 		}
-		addr, err := sh.Listen(cfg.Addr)
+		addr, err := sh.Listen(localAddr)
 		if err != nil {
 			sh.srv.Drain(context.Background())
 			return fail(err)
@@ -113,7 +108,6 @@ func StartLocal(cfg LocalConfig) (*Local, error) {
 	}
 	rt, err := NewRouter(RouterConfig{
 		Shards:       l.ShardAddrs,
-		Replicas:     cfg.Replicas,
 		Directory:    cfg.Directory,
 		LocalMetrics: true, // one process, one obs registry
 	})
@@ -122,7 +116,7 @@ func StartLocal(cfg LocalConfig) (*Local, error) {
 	}
 	raddr := cfg.RouterAddr
 	if raddr == "" {
-		raddr = cfg.Addr
+		raddr = localAddr
 	}
 	addr, err := rt.Listen(raddr)
 	if err != nil {

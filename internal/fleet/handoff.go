@@ -79,7 +79,7 @@ func (sh *Shard) cellMatcher(cells []string) func(string) bool {
 // handleHandoff is POST /v1/fleet/handoff.
 func (sh *Shard) handleHandoff(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
-		http.Error(w, `{"error":"POST required"}`, http.StatusMethodNotAllowed)
+		writeRouterError(w, http.StatusMethodNotAllowed, "POST required")
 		return
 	}
 	// Handoff bodies carry whole session records including cached
@@ -88,7 +88,7 @@ func (sh *Shard) handleHandoff(w http.ResponseWriter, r *http.Request) {
 	var req HandoffRequest
 	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
 		obsHandoffErrors.Inc()
-		http.Error(w, `{"error":"bad JSON"}`, http.StatusBadRequest)
+		writeRouterError(w, http.StatusBadRequest, "bad JSON")
 		return
 	}
 
@@ -103,7 +103,7 @@ func (sh *Shard) handleHandoff(w http.ResponseWriter, r *http.Request) {
 		for _, sw := range req.Sessions {
 			if err := sh.srv.ImportSessionRecord(sw.Record); err != nil {
 				obsHandoffErrors.Inc()
-				http.Error(w, fmt.Sprintf(`{"error":"import %s: %s"}`, sw.ID, err), http.StatusUnprocessableEntity)
+				writeRouterError(w, http.StatusUnprocessableEntity, fmt.Sprintf("import %s: %v", sw.ID, err))
 				return
 			}
 			resp.Imported++
@@ -117,7 +117,7 @@ func (sh *Shard) handleHandoff(w http.ResponseWriter, r *http.Request) {
 		sh.SetMembership(req.Shards, req.Peers)
 	default:
 		obsHandoffErrors.Inc()
-		http.Error(w, `{"error":"unknown mode"}`, http.StatusBadRequest)
+		writeRouterError(w, http.StatusBadRequest, "unknown mode")
 		return
 	}
 	w.Header().Set("Content-Type", "application/json")

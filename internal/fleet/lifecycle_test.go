@@ -97,13 +97,13 @@ func TestRouterRelayErrorStatus(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			rt, err := NewRouter(RouterConfig{
-				Shards:       map[string]string{"shard-0": tc.shard},
-				Directory:    testDirectory(),
-				RelayTimeout: 100 * time.Millisecond,
+				Shards:    map[string]string{"shard-0": tc.shard},
+				Directory: testDirectory(),
 			})
 			if err != nil {
 				t.Fatal(err)
 			}
+			rt.client.Timeout = 100 * time.Millisecond
 			rec := httptest.NewRecorder()
 			req := httptest.NewRequest(http.MethodPost, "/v1/infer?cell=cell-0", strings.NewReader(`{}`))
 			rt.Handler().ServeHTTP(rec, req)

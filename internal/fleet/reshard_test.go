@@ -13,6 +13,7 @@ import (
 	"testing"
 	"time"
 
+	"blu/internal/blueprint"
 	"blu/internal/serve"
 )
 
@@ -334,5 +335,48 @@ func TestRouterMoving307(t *testing.T) {
 	rt.mu.RUnlock()
 	if n != 0 {
 		t.Fatalf("inflight count %d after relay finished", n)
+	}
+}
+
+// TestHandoffImportErrorIsJSON: a shard refusing an imported record
+// answers 422 with a JSON error body. The refusal here is the digest
+// gate, whose message quotes the session id — text that a hand-built
+// JSON string would splice in unescaped.
+func TestHandoffImportErrorIsJSON(t *testing.T) {
+	sh, _, err := NewShard(ShardConfig{
+		Name:       "shard-0",
+		ShardNames: []string{"shard-0"},
+		Directory:  testDirectory(),
+		Serve:      serve.Config{Workers: 1},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sh.Drain(context.Background())
+	id := SessionName("cell-0")
+	seed := &blueprint.Topology{N: 3, HTs: []blueprint.HiddenTerminal{{Q: 0.4, Clients: blueprint.NewClientSet(0)}}}
+	if _, err := sh.Server().SeedSessionBlueprint(id, 3, seed); err != nil {
+		t.Fatal(err)
+	}
+	rec := append([]byte(nil), sh.Server().ExportSessionRecords(nil)[0].Record...)
+	rec[2+len(id)] ^= 1 // the recorded digest follows version, id length and id
+
+	body, err := json.Marshal(HandoffRequest{Mode: "import", Sessions: []SessionWire{{ID: id, Record: rec}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := httptest.NewRecorder()
+	sh.Handler().ServeHTTP(w, httptest.NewRequest(http.MethodPost, "/v1/fleet/handoff", bytes.NewReader(body)))
+	if w.Code != http.StatusUnprocessableEntity {
+		t.Fatalf("import answered %d, want 422: %s", w.Code, w.Body)
+	}
+	if ct := w.Header().Get("Content-Type"); ct != "application/json" {
+		t.Errorf("Content-Type %q, want application/json", ct)
+	}
+	var er struct {
+		Error string `json:"error"`
+	}
+	if err := json.Unmarshal(w.Body.Bytes(), &er); err != nil || er.Error == "" {
+		t.Fatalf("error body is not {\"error\": ...} JSON (%v): %s", err, w.Body)
 	}
 }

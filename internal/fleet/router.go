@@ -40,14 +40,15 @@ var (
 // conflict instead of one agreed hidden terminal.
 const mergeQTol = 0.1
 
+// relayTimeout bounds one relayed request end to end. An upstream
+// exceeding it answers 504; a dead shard answers 502.
+const relayTimeout = 2 * time.Minute
+
 // RouterConfig parameterizes a router.
 type RouterConfig struct {
 	// Shards maps shard names to base URLs; the ring is built over the
-	// key set.
+	// key set with the default vnode count, as every shard's is.
 	Shards map[string]string
-	// Replicas is the ring vnode count (0 = default); it must match the
-	// shards' setting or ownership diverges.
-	Replicas int
 	// Directory is the fleet-wide cell listing (map merge validation).
 	Directory Directory
 	// LocalMetrics serves /metrics from the local obs registry instead
@@ -55,9 +56,6 @@ type RouterConfig struct {
 	// where router and shards share one process registry and
 	// aggregation would multiply-count.
 	LocalMetrics bool
-	// RelayTimeout bounds one relayed request end to end (0 = 2m). An
-	// upstream exceeding it answers 504; a dead shard answers 502.
-	RelayTimeout time.Duration
 }
 
 // Router is a running fleet entry point.
@@ -97,15 +95,11 @@ func NewRouter(cfg RouterConfig) (*Router, error) {
 		names = append(names, n)
 		shards[n] = strings.TrimSuffix(u, "/")
 	}
-	timeout := cfg.RelayTimeout
-	if timeout <= 0 {
-		timeout = 2 * time.Minute
-	}
 	rt := &Router{
 		cfg:      cfg,
 		mux:      http.NewServeMux(),
-		client:   &http.Client{Timeout: timeout},
-		ring:     NewRing(cfg.Replicas, names...),
+		client:   &http.Client{Timeout: relayTimeout},
+		ring:     NewRing(0, names...),
 		shards:   shards,
 		moving:   map[string]bool{},
 		inflight: map[string]int{},

@@ -32,8 +32,6 @@ type ShardConfig struct {
 	// ShardNames is the fleet membership the ring is built over; it must
 	// contain Name.
 	ShardNames []string
-	// Replicas is the ring vnode count (0 = default).
-	Replicas int
 	// Directory is the fleet-wide cell listing.
 	Directory Directory
 	// Peers maps shard names to base URLs ("http://host:port") for
@@ -49,7 +47,6 @@ type ShardConfig struct {
 // Shard is a running fleet member.
 type Shard struct {
 	name      string
-	replicas  int
 	ring      atomic.Pointer[Ring] // swapped by SetMembership during a reshard
 	directory Directory
 	srv       *serve.Server
@@ -100,14 +97,13 @@ func NewShard(cfg ShardConfig) (*Shard, *serve.RecoverStats, error) {
 	}
 	sh := &Shard{
 		name:      cfg.Name,
-		replicas:  cfg.Replicas,
 		directory: cfg.Directory,
 		srv:       srv,
 		mux:       http.NewServeMux(),
 		client:    &http.Client{Timeout: 10 * time.Second},
 		peers:     map[string]string{},
 	}
-	sh.ring.Store(NewRing(cfg.Replicas, cfg.ShardNames...))
+	sh.ring.Store(NewRing(0, cfg.ShardNames...))
 	sh.ctx, sh.cancel = context.WithCancel(context.Background())
 	for n, u := range cfg.Peers {
 		sh.peers[n] = u
@@ -162,7 +158,7 @@ func (sh *Shard) Owns(cellID string) bool { return sh.ring.Load().Owner(cellID) 
 // (the shard's own entry ignored). The router broadcasts this after a
 // reshard commits, so exchange rounds target the new owners.
 func (sh *Shard) SetMembership(names []string, peers map[string]string) {
-	sh.ring.Store(NewRing(sh.replicas, names...))
+	sh.ring.Store(NewRing(0, names...))
 	sh.peersMu.Lock()
 	defer sh.peersMu.Unlock()
 	sh.peers = map[string]string{}
@@ -328,13 +324,13 @@ func (sh *Shard) postExchange(ctx context.Context, baseURL string, req *Exchange
 // reports into the owned cells' warm-start seeds.
 func (sh *Shard) handleExchange(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
-		http.Error(w, `{"error":"POST required"}`, http.StatusMethodNotAllowed)
+		writeRouterError(w, http.StatusMethodNotAllowed, "POST required")
 		return
 	}
 	r.Body = http.MaxBytesReader(w, r.Body, 1<<20)
 	var req ExchangeRequest
 	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		http.Error(w, `{"error":"bad JSON"}`, http.StatusBadRequest)
+		writeRouterError(w, http.StatusBadRequest, "bad JSON")
 		return
 	}
 	resp := sh.applyExchange(&req)
@@ -363,7 +359,7 @@ type BlueprintsResponse struct {
 // a live session, its blueprint translated to global ids.
 func (sh *Shard) handleBlueprints(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
-		http.Error(w, `{"error":"GET required"}`, http.StatusMethodNotAllowed)
+		writeRouterError(w, http.StatusMethodNotAllowed, "GET required")
 		return
 	}
 	resp := BlueprintsResponse{Shard: sh.name, Cells: []CellBlueprintWire{}}

@@ -45,19 +45,19 @@ var (
 	obsLastAccept = obs.GetGauge("mcmc_last_acceptance_rate")
 )
 
+// The sampler's posterior: the likelihood is exp(−beta·violation)
+// (higher beta concentrates it on low-violation topologies) and the
+// prior exp(−htPenalty·h) favors sparse topologies of h terminals,
+// capped at max(8, 4·N).
+const (
+	beta      = 40
+	htPenalty = 0.5
+)
+
 // Options tunes the sampler. The zero value selects defaults.
 type Options struct {
 	// Iterations is the chain length (default 20000).
 	Iterations int
-	// Beta is the inverse temperature of the likelihood
-	// exp(−Beta·violation) (default 40; higher concentrates the
-	// posterior on low-violation topologies).
-	Beta float64
-	// HTPenalty is the per-terminal prior penalty favoring sparse
-	// topologies (default 0.5, i.e. prior ∝ exp(−0.5·h)).
-	HTPenalty float64
-	// MaxHTs caps the topology size (default 4·N).
-	MaxHTs int
 	// Seed drives the chain.
 	Seed uint64
 	// Chains is the number of independent Metropolis–Hastings chains
@@ -73,21 +73,9 @@ type Options struct {
 	Parallelism int
 }
 
-func (o Options) withDefaults(n int) Options {
+func (o Options) withDefaults() Options {
 	if o.Iterations <= 0 {
 		o.Iterations = 20000
-	}
-	if o.Beta <= 0 {
-		o.Beta = 40
-	}
-	if o.HTPenalty <= 0 {
-		o.HTPenalty = 0.5
-	}
-	if o.MaxHTs <= 0 {
-		o.MaxHTs = 4 * n
-		if o.MaxHTs < 8 {
-			o.MaxHTs = 8
-		}
 	}
 	if o.Chains <= 0 {
 		o.Chains = 1
@@ -162,7 +150,7 @@ func InferContext(ctx context.Context, m *blueprint.Measurements, opts Options) 
 	if m == nil || m.N == 0 {
 		return nil, ErrNoClients
 	}
-	opts = opts.withDefaults(m.N)
+	opts = opts.withDefaults()
 	target := m.Transform()
 	root := rng.New(opts.Seed)
 
@@ -230,19 +218,19 @@ type chainOut struct {
 func runChain(ctx context.Context, target *blueprint.Transformed, n int, opts Options, r *rng.Source) chainOut {
 	cur := &state{n: n}
 	curViol, _ := blueprint.Residual(target, cur.topology())
-	curScore := -opts.Beta*curViol - opts.HTPenalty*float64(len(cur.hts))
+	curScore := -beta*curViol - htPenalty*float64(len(cur.hts))
 
 	out := chainOut{best: cur.clone(), viol: curViol, score: curScore}
 	for it := 0; it < opts.Iterations; it++ {
 		if it&127 == 127 && ctx.Err() != nil {
 			break
 		}
-		prop, ok := propose(cur, target, opts, r)
+		prop, ok := propose(cur, target, r)
 		if !ok {
 			continue
 		}
 		propViol, _ := blueprint.Residual(target, prop.topology())
-		propScore := -opts.Beta*propViol - opts.HTPenalty*float64(len(prop.hts))
+		propScore := -beta*propViol - htPenalty*float64(len(prop.hts))
 		// Metropolis acceptance (symmetric proposals assumed).
 		if propScore >= curScore || r.Float64() < math.Exp(propScore-curScore) {
 			cur, curViol, curScore = prop, propViol, propScore
@@ -257,11 +245,11 @@ func runChain(ctx context.Context, target *blueprint.Transformed, n int, opts Op
 
 // propose draws one of the move kinds: add a hidden terminal, remove
 // one, toggle an edge, or perturb an access probability.
-func propose(cur *state, target *blueprint.Transformed, opts Options, r *rng.Source) (*state, bool) {
+func propose(cur *state, target *blueprint.Transformed, r *rng.Source) (*state, bool) {
 	prop := cur.clone()
 	switch r.Intn(4) {
 	case 0: // add a terminal seeded from a violated constraint
-		if len(prop.hts) >= opts.MaxHTs {
+		if len(prop.hts) >= max(8, 4*prop.n) {
 			return nil, false
 		}
 		i := r.Intn(prop.n)

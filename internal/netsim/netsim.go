@@ -20,7 +20,8 @@ import (
 	"blu/internal/wifi"
 )
 
-// BatchConfig parameterizes a topology batch.
+// BatchConfig parameterizes a topology batch. Inference runs with the
+// blueprint defaults.
 type BatchConfig struct {
 	// Topologies is the number of random topologies (paper: 300).
 	Topologies int
@@ -31,8 +32,6 @@ type BatchConfig struct {
 	Subframes int
 	// Seed drives all randomness.
 	Seed uint64
-	// InferOptions tunes inference (zero = defaults).
-	InferOptions blueprint.InferOptions
 	// Workers bounds parallelism (0 = GOMAXPROCS, 1 = sequential).
 	// Results are deterministic at every setting: each topology is
 	// seeded from (Seed, index) and lands in its batch-order slot.
@@ -118,7 +117,7 @@ func runOne(cfg BatchConfig, idx int) (TopologyResult, error) {
 	}
 
 	meas := MeasureFromMasks(cell)
-	inf, err := blueprint.Infer(meas, cfg.InferOptions)
+	inf, err := blueprint.Infer(meas, blueprint.InferOptions{})
 	if err != nil {
 		return TopologyResult{}, fmt.Errorf("netsim: topology %d: %w", idx, err)
 	}

@@ -52,9 +52,6 @@ func (c *lruCache) get(key uint64) ([]byte, bool) {
 // put inserts (or refreshes) key → body, evicting the LRU entry when
 // the bound is exceeded.
 func (c *lruCache) put(key uint64, body []byte) {
-	if c.max <= 0 {
-		return
-	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if el, ok := c.items[key]; ok {

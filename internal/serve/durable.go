@@ -38,20 +38,19 @@ const sessionRecordVersion = 1
 // RecoverStats re-exports the persist recovery totals.
 type RecoverStats = persist.RecoverStats
 
-// NewDurable builds a Server like New and, when cfg.StateDir is set,
-// opens the durability layer under it: recover (restore the snapshot
-// image, replay the WAL through the observe fold path), then start
-// logging and periodic snapshots. With an empty StateDir it is exactly
-// New. Callers must still Drain, which now also serializes a final
-// snapshot before closing the store.
+// NewDurable builds a Server, starts its worker pool, and, when
+// cfg.StateDir is set, opens the durability layer under it: recover
+// (restore the snapshot image, replay the WAL through the observe fold
+// path), then start logging and periodic snapshots. With an empty
+// StateDir the server is memory-only. Callers must eventually Drain,
+// which also serializes a final snapshot before closing the store.
 func NewDurable(cfg Config) (*Server, *RecoverStats, error) {
-	s := New(cfg)
+	s := newServer(cfg)
 	if s.cfg.StateDir == "" {
 		return s, &RecoverStats{}, nil
 	}
 	store, stats, err := persist.Open(s.cfg.StateDir, persist.Options{
 		SyncInterval: s.cfg.WALSyncInterval,
-		MaxPending:   s.cfg.WALMaxPending,
 	}, s.restoreSessionRecord, s.replayObserveRecord)
 	if err != nil {
 		// The pool is already running; stop it before reporting.

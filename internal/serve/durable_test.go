@@ -23,7 +23,6 @@ func durableCfg(dir string) Config {
 		StateDir:         dir,
 		SnapshotInterval: time.Hour,
 		WALSyncInterval:  time.Hour,
-		WALMaxPending:    1 << 20,
 	}
 }
 
@@ -294,7 +293,7 @@ func TestRecoverySurvivesCorruptSnapshot(t *testing.T) {
 // TestHealthzFlipsToDraining pins the zero-downtime handshake: a
 // draining server answers 503 "draining" so balancers stop routing.
 func TestHealthzFlipsToDraining(t *testing.T) {
-	s := New(Config{Workers: 1})
+	s := newServer(Config{Workers: 1})
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
@@ -324,7 +323,7 @@ func TestHealthzFlipsToDraining(t *testing.T) {
 }
 
 // TestNewDurableWithoutStateDirIsMemoryOnly guards the default path:
-// no StateDir means no store, no files, and plain New semantics.
+// no StateDir means no store, no files, and memory-only semantics.
 func TestNewDurableWithoutStateDirIsMemoryOnly(t *testing.T) {
 	s, stats, err := NewDurable(Config{Workers: 1})
 	if err != nil {

@@ -231,7 +231,8 @@ func TestObserveValidation(t *testing.T) {
 // TestObserveSessionEviction: the registry is bounded LRU; an evicted
 // session 404s on infer and its minted cache entries are dropped.
 func TestObserveSessionEviction(t *testing.T) {
-	s, ts := newTestServer(t, Config{Workers: 1, MaxSessions: 2})
+	s, ts := newTestServer(t, Config{Workers: 1})
+	s.sessions = newSessionStore(2, windowEpochs)
 	evict0 := obsSessionEvict.Value()
 	invalid0 := obsInvalidation.Value()
 

@@ -81,37 +81,17 @@ var (
 		[]float64{0.5, 1, 2, 5, 10, 25, 50, 100, 250, 500, 1000, 2500})
 )
 
-// Config tunes the server. The zero value selects the defaults.
+// Config tunes the server. The zero value selects the defaults. The
+// bounds no deployment tunes are the constants below.
 type Config struct {
 	// Workers bounds the compute pool (0 = GOMAXPROCS).
 	Workers int
-	// SolverParallelism is blueprint.InferOptions.Parallelism applied to
-	// every solver run (default 1: the service takes its throughput from
-	// concurrent requests, not per-request fan-out; results are
-	// byte-identical either way).
-	SolverParallelism int
 	// QueueDepth bounds the work queue; submissions beyond it get 429
 	// (default 64).
 	QueueDepth int
-	// CacheEntries bounds the infer result cache (default 1024; negative
-	// disables caching).
-	CacheEntries int
-	// MaxSessions bounds the live /v1/observe session registry; creating
-	// a session past the bound evicts the least-recently-used one
-	// (default 256).
-	MaxSessions int
-	// WindowEpochs is the windowed-estimator capacity, in sealed epochs,
-	// for new sessions (default 64).
-	WindowEpochs int
-	// DefaultTimeout applies when a request carries no timeout_ms
-	// (default 30s). MaxTimeout caps client-supplied deadlines
-	// (default 2m).
-	DefaultTimeout time.Duration
-	MaxTimeout     time.Duration
-	// StateDir, when set (via NewDurable), selects durable session
-	// state: observe batches are WAL-logged under it and sessions are
-	// snapshotted periodically and on drain (DESIGN.md §15). New ignores
-	// it — plain New is always memory-only.
+	// StateDir, when set, selects durable session state: observe
+	// batches are WAL-logged under it and sessions are snapshotted
+	// periodically and on drain (DESIGN.md §15).
 	StateDir string
 	// SnapshotInterval is the periodic snapshot cadence when StateDir
 	// is set (default 30s).
@@ -119,9 +99,6 @@ type Config struct {
 	// WALSyncInterval is the WAL group-commit window: how long an
 	// acknowledged observe batch may stay memory-only (default 25ms).
 	WALSyncInterval time.Duration
-	// WALMaxPending bounds the unsynced WAL window; an append past it
-	// flushes inline (default 256).
-	WALMaxPending int
 	// ManifestPath, when set, is where Drain flushes the run manifest.
 	ManifestPath string
 	// Tool and Args identify the process in the manifest (default
@@ -130,27 +107,30 @@ type Config struct {
 	Args []string
 }
 
+// Fixed serving bounds.
+const (
+	// solverParallelism is blueprint.InferOptions.Parallelism for every
+	// solver run: the service takes its throughput from concurrent
+	// requests, not per-request fan-out (results are byte-identical
+	// either way).
+	solverParallelism = 1
+	// cacheEntries bounds the infer result cache.
+	cacheEntries = 1024
+	// maxSessions bounds the live /v1/observe session registry; creating
+	// a session past it evicts the least-recently-used one.
+	maxSessions = 256
+	// windowEpochs is a new session's windowed-estimator capacity, in
+	// sealed epochs.
+	windowEpochs = 64
+	// defaultTimeout applies when a request carries no timeout_ms, and
+	// maxTimeout caps client-supplied deadlines.
+	defaultTimeout = 30 * time.Second
+	maxTimeout     = 2 * time.Minute
+)
+
 func (c Config) withDefaults() Config {
-	if c.SolverParallelism <= 0 {
-		c.SolverParallelism = 1
-	}
 	if c.QueueDepth <= 0 {
 		c.QueueDepth = 64
-	}
-	if c.CacheEntries == 0 {
-		c.CacheEntries = 1024
-	}
-	if c.MaxSessions <= 0 {
-		c.MaxSessions = 256
-	}
-	if c.WindowEpochs <= 0 {
-		c.WindowEpochs = 64
-	}
-	if c.DefaultTimeout <= 0 {
-		c.DefaultTimeout = 30 * time.Second
-	}
-	if c.MaxTimeout <= 0 {
-		c.MaxTimeout = 2 * time.Minute
 	}
 	if c.SnapshotInterval <= 0 {
 		c.SnapshotInterval = 30 * time.Second
@@ -181,7 +161,7 @@ func (j *job) run() {
 	j.fn(j.ctx)
 }
 
-// Server is the BLU serving daemon core. Construct with New, expose
+// Server is the BLU serving daemon core. Construct with NewDurable, expose
 // Handler over any http.Server (or use Listen), and always call Drain
 // to stop the worker pool.
 type Server struct {
@@ -223,17 +203,17 @@ type Server struct {
 	serveErr chan error
 }
 
-// New builds a Server and starts its worker pool. Callers must
-// eventually call Drain (even when only using Handler with a test
-// server) so the pool exits.
-func New(cfg Config) *Server {
+// newServer builds a memory-only Server and starts its worker pool;
+// NewDurable wraps it with the durability layer. Callers must
+// eventually call Drain so the pool exits.
+func newServer(cfg Config) *Server {
 	cfg = cfg.withDefaults()
 	s := &Server{
 		cfg:      cfg,
 		mux:      http.NewServeMux(),
-		cache:    newLRUCache(cfg.CacheEntries),
+		cache:    newLRUCache(cacheEntries),
 		flights:  newFlightGroup(),
-		sessions: newSessionStore(cfg.MaxSessions, cfg.WindowEpochs),
+		sessions: newSessionStore(maxSessions, windowEpochs),
 		tables:   newTablesCache(jointTablesMaxBytes),
 		manifest: obs.NewManifest(cfg.Tool, cfg.Args),
 		queue:    make(chan *job, cfg.QueueDepth),
@@ -388,14 +368,11 @@ func (s *Server) submit(ctx context.Context, fn func(context.Context)) error {
 }
 
 // requestContext derives the per-request deadline: timeout_ms when
-// given (capped at MaxTimeout), the server default otherwise.
+// given (capped at maxTimeout), defaultTimeout otherwise.
 func (s *Server) requestContext(r *http.Request, timeoutMS int) (context.Context, context.CancelFunc) {
-	d := s.cfg.DefaultTimeout
+	d := defaultTimeout
 	if timeoutMS > 0 {
-		d = time.Duration(timeoutMS) * time.Millisecond
-		if d > s.cfg.MaxTimeout {
-			d = s.cfg.MaxTimeout
-		}
+		d = min(time.Duration(timeoutMS)*time.Millisecond, maxTimeout)
 	}
 	return context.WithTimeout(r.Context(), d)
 }
@@ -455,6 +432,15 @@ func acceptsBinary(r *http.Request) bool {
 }
 
 func writeError(w http.ResponseWriter, status int, msg string) {
+	writeResult(w, status, contentTypeJSON, errorBody(msg))
+}
+
+// writeResult writes a finished response with the bookkeeping its
+// status carries: error counters, and Retry-After on a 429. An infer
+// answer goes through it whether the request computed it or received
+// it through a coalesced flight, so a follower of a shed leader is
+// told when to retry and counted like the leader.
+func writeResult(w http.ResponseWriter, status int, contentType string, body []byte) {
 	switch status {
 	case http.StatusBadRequest, http.StatusUnprocessableEntity, http.StatusMethodNotAllowed:
 		obsBadReq.Inc()
@@ -466,11 +452,11 @@ func writeError(w http.ResponseWriter, status int, msg string) {
 	case http.StatusGatewayTimeout:
 		obsTimeouts.Inc()
 	}
-	writeJSON(w, status, ErrorResponse{Error: msg})
+	writeBody(w, status, contentType, body)
 }
 
-// errorBody renders the body writeError would send, for publishing a
-// failure through a coalesced flight.
+// errorBody renders an ErrorResponse body, for writeError and for
+// publishing a failure through a coalesced flight.
 func errorBody(msg string) []byte {
 	body, _ := json.Marshal(ErrorResponse{Error: msg})
 	return body
@@ -536,7 +522,7 @@ func (s *Server) handleInfer(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	opts := req.Options.ToInferOptions()
-	opts.Parallelism = s.cfg.SolverParallelism
+	opts.Parallelism = solverParallelism
 	var m *blueprint.Measurements
 	var sess *session
 	var sessDigest uint64
@@ -599,7 +585,7 @@ func (s *Server) handleInfer(w http.ResponseWriter, r *http.Request) {
 		// key guarantees the leader encoded with this request's codec.
 		select {
 		case <-f.done:
-			writeBody(w, f.status, ctFor(f.status), f.body)
+			writeResult(w, f.status, ctFor(f.status), f.body)
 		case <-ctx.Done():
 			writeError(w, http.StatusGatewayTimeout, "request deadline exceeded")
 		}
@@ -654,14 +640,7 @@ func (s *Server) handleInfer(w http.ResponseWriter, r *http.Request) {
 	// Publish to followers before answering, so the flight never
 	// outlives its leader.
 	s.flights.finish(key, f, status, body)
-	if status == http.StatusTooManyRequests {
-		writeError(w, status, "work queue full, retry later")
-		return
-	}
-	if status == http.StatusGatewayTimeout {
-		obsTimeouts.Inc()
-	}
-	writeBody(w, status, ctFor(status), body)
+	writeResult(w, status, ctFor(status), body)
 }
 
 // handleJoint is POST /v1/joint: topology + clear/blocked sets →

@@ -26,7 +26,7 @@ func init() { obs.Enable() }
 // registers cleanup that drains the pool.
 func newTestServer(t *testing.T, cfg Config) (*Server, *httptest.Server) {
 	t.Helper()
-	s := New(cfg)
+	s := newServer(cfg)
 	ts := httptest.NewServer(s.Handler())
 	t.Cleanup(func() {
 		ts.Close()
@@ -308,44 +308,38 @@ func TestLRUCacheEviction(t *testing.T) {
 	if obsCacheEvict.Value() == evict0 {
 		t.Error("serve_cache_evict_total did not advance")
 	}
-	// Disabled cache stores nothing.
-	d := newLRUCache(-1)
-	d.put(1, []byte("a"))
-	if _, ok := d.get(1); ok {
-		t.Error("disabled cache returned a hit")
-	}
 }
 
-// TestInferCoalescing pins the singleflight contract: while a leader
-// owns a digest's flight, an identical request becomes a follower and
-// returns the leader's published bytes without running the solver.
-func TestInferCoalescing(t *testing.T) {
-	s, ts := newTestServer(t, Config{Workers: 2, CacheEntries: -1})
-	body := inferBody(21)
-	m, err := (&MeasurementsWire{N: 3, P: []float64{0.7, 0.7, 1},
-		Pairs: []PairProb{{0, 1, 0.7}, {0, 2, 0.7}, {1, 2, 0.7}}}).ToMeasurements()
+// followAsLeader takes the flight an infer of inferBody(seed) joins,
+// then posts that infer in the background and waits until it has
+// coalesced onto the flight as a follower. publish finishes the flight
+// with the given result and returns the follower's response.
+func followAsLeader(t *testing.T, s *Server, url string, seed uint64) (publish func(status int, body []byte) *http.Response) {
+	t.Helper()
+	var req InferRequest
+	if err := json.Unmarshal(inferBody(seed), &req); err != nil {
+		t.Fatal(err)
+	}
+	m, err := req.Measurements.ToMeasurements()
 	if err != nil {
 		t.Fatal(err)
 	}
-	opts := blueprint.InferOptions{Seed: 21}
-	opts.Parallelism = 1
+	opts := req.Options.ToInferOptions()
+	opts.Parallelism = solverParallelism
 	key := digestInfer(m, opts)
-
-	// Become the leader ourselves, so the HTTP request below is forced
-	// onto the follower path.
 	f, leader := s.flights.join(key)
 	if !leader {
 		t.Fatal("flight already in progress")
 	}
 	coalesced0 := obsCoalesced.Value()
-
-	respCh := make(chan []byte, 1)
+	respCh := make(chan *http.Response, 1)
 	go func() {
-		resp := post(t, ts.URL+"/v1/infer", body)
-		respCh <- readAll(t, resp)
+		resp, err := http.Post(url+"/v1/infer", "application/json", bytes.NewReader(inferBody(seed)))
+		if err != nil {
+			t.Errorf("follower POST: %v", err)
+		}
+		respCh <- resp
 	}()
-	// Wait until the request has joined the flight, then publish a
-	// sentinel result only a follower could receive.
 	deadline := time.Now().Add(5 * time.Second)
 	for obsCoalesced.Value() == coalesced0 {
 		if time.Now().After(deadline) {
@@ -353,10 +347,55 @@ func TestInferCoalescing(t *testing.T) {
 		}
 		time.Sleep(time.Millisecond)
 	}
+	return func(status int, body []byte) *http.Response {
+		s.flights.finish(key, f, status, body)
+		resp := <-respCh
+		if resp == nil {
+			t.FailNow()
+		}
+		return resp
+	}
+}
+
+// TestInferCoalescing pins the singleflight contract: while a leader
+// owns a digest's flight, an identical request becomes a follower and
+// returns the leader's published bytes without running the solver.
+func TestInferCoalescing(t *testing.T) {
+	s, ts := newTestServer(t, Config{Workers: 2})
+	// A sentinel only a follower could receive.
 	sentinel := []byte(`{"sentinel":true}`)
-	s.flights.finish(key, f, http.StatusOK, sentinel)
-	if got := <-respCh; !bytes.Equal(got, sentinel) {
+	resp := followAsLeader(t, s, ts.URL, 21)(http.StatusOK, sentinel)
+	if got := readAll(t, resp); !bytes.Equal(got, sentinel) {
 		t.Errorf("follower returned %s, want the leader's published bytes", got)
+	}
+}
+
+// TestInferCoalescedFollowerOfFailedLeader: a follower relaying a shed
+// or timed-out leader is answered like the leader — a 429 carries
+// Retry-After and counts as a queue reject, a 504 counts as a timeout.
+func TestInferCoalescedFollowerOfFailedLeader(t *testing.T) {
+	s, ts := newTestServer(t, Config{Workers: 2})
+	for i, c := range []struct {
+		status     int
+		counter    *obs.Counter
+		retryAfter string
+	}{
+		{http.StatusTooManyRequests, obsRejected, "1"},
+		{http.StatusGatewayTimeout, obsTimeouts, ""},
+	} {
+		publish := followAsLeader(t, s, ts.URL, uint64(41+i))
+		count0 := c.counter.Value()
+		resp := publish(c.status, errorBody("leader failed"))
+		body := readAll(t, resp)
+		if resp.StatusCode != c.status {
+			t.Fatalf("follower status %d, want %d (body %s)", resp.StatusCode, c.status, body)
+		}
+		if got := resp.Header.Get("Retry-After"); got != c.retryAfter {
+			t.Errorf("%d: follower Retry-After %q, want %q", c.status, got, c.retryAfter)
+		}
+		if c.counter.Value() == count0 {
+			t.Errorf("%d: follower's answer was not counted", c.status)
+		}
 	}
 }
 
@@ -514,7 +553,7 @@ func TestScheduleEndToEnd(t *testing.T) {
 }
 
 func TestSubmitAfterDrainRejected(t *testing.T) {
-	s := New(Config{Workers: 1})
+	s := newServer(Config{Workers: 1})
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
 	if err := s.Drain(ctx); err != nil {
@@ -532,7 +571,7 @@ func TestSubmitAfterDrainRejected(t *testing.T) {
 // a valid manifest.
 func TestSIGTERMDrainLosesNothing(t *testing.T) {
 	manifest := filepath.Join(t.TempDir(), "manifest.json")
-	s := New(Config{Workers: 1, QueueDepth: 32, ManifestPath: manifest, Tool: "serve-test"})
+	s := newServer(Config{Workers: 1, QueueDepth: 32, ManifestPath: manifest, Tool: "serve-test"})
 	addr, err := s.Listen("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)

@@ -94,7 +94,7 @@ func (w *MeasurementsWire) ToMeasurements() (*blueprint.Measurements, error) {
 }
 
 // InferOptionsWire is the subset of blueprint.InferOptions a client may
-// set. Parallelism is a server resource decision (Config.SolverParallelism)
+// set. Parallelism is a server resource decision (solverParallelism)
 // and is excluded — inference results are byte-identical at every
 // parallelism anyway, so it cannot change a response.
 type InferOptionsWire struct {
