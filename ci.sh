@@ -59,50 +59,35 @@ go run ./cmd/blumanifest \
   -require sched_blu_grants_total,sched_blu_blocked_total,sched_blu_collision_total,sched_pf_grants_total,core_measurement_phases_total,core_speculative_phases_total,sched_blu_cache_hit_total,sched_joint_cache_hit_total,sched_blu_scratch_reuse_total \
   "$obsdir/manifest.json"
 
-echo "== kernel smoke =="
-# The scheduler and inference hot paths must stay allocation-free in
-# steady state and byte-identical across cache bounds and parallelism:
-# re-run the AllocsPerRun ceilings and the golden trace tests for both
-# kernels — cold inference and the warm-started §3.7 refresh repair —
-# plus the binary-codec ceilings, and the sized-by-use memo tables
-# (grown ≡ preallocated across resets, a small calculator stays under
-# 8 KB, borrowed joint tables ≡ a fresh calculator). Then vet and
-# smoke-test the benchmark module: bench/ is its own module built
-# against blu/internal/..., so root `go test ./...` does not see it and
-# a change that breaks its build would otherwise first fail in the
-# benchmark pipeline.
-go test $short -run 'TestScheduleSteadyStateAllocs|TestScheduleTraceGolden|TestScheduleTraceCacheBoundInvariance|TestGroupCacheGrowthInvariance|TestJointTablesAcrossSchedulers' ./internal/sched/
-go test $short -run 'TestCalculatorGrowthInvariance|TestNewCalculatorSmall|TestCalculatorMemoLimitInvariance' ./internal/joint/
-go test $short -run 'TestInferAllocCeiling|TestInferTraceGolden|TestDeltaSpecializationsExact|TestWarmStart' ./internal/blueprint/
-go test $short -run 'TestCodecAllocCeiling|TestBinaryCodec' ./internal/serve/
+echo "== bench smoke =="
+# The kernels' allocation ceilings, golden traces and cache-bound
+# invariances ran in both passes above. Vet and smoke-test the
+# benchmark module: bench/ is its own module built against
+# blu/internal/..., so root `go test ./...` does not see it and a change
+# that breaks its build would otherwise first fail in the benchmark
+# pipeline.
 go -C bench vet ./...
 go -C bench test -short ./...
 
 echo "== chaos smoke =="
-# The fault-injection chaos suite under the race detector (short mode:
-# the sweeps above already ran), then a reduced chaos experiment over
-# the loss and stall scenarios whose manifest must prove the fault
-# injector and the degradation ladder actually fired: observations
-# dropped, inference iterations stalled, the confidence gate tripped,
-# and retries were spent.
-go test -race -short -run 'Chaos|Stall|Ladder|Faulted|Quarantine|Ctx|InferContext|RunContext' \
-  ./internal/faults/ ./internal/core/ ./internal/access/ ./internal/blueprint/ ./internal/mcmc/
+# The fault-injection suite ran under the race detector above. A
+# reduced chaos experiment over the loss and stall scenarios must emit a
+# manifest proving the fault injector and the degradation ladder
+# actually fired: observations dropped, inference iterations stalled,
+# the confidence gate tripped, and retries were spent.
 go run ./cmd/blusim -scale 0.05 -metrics "$obsdir/chaos.json" -faults loss,stall chaos >/dev/null
 go run ./cmd/blumanifest \
   -require faults_observations_dropped_total,faults_stall_iterations_total,core_gate_trips_total,core_infer_retries_total,core_fallback_phases_total \
   "$obsdir/chaos.json"
 
 echo "== persist smoke =="
-# The durability layer's crash-safety gates: the recovery suite under
-# the race detector (torn writes, truncation, bit flips, rotate-vs-
-# append races), the kill-and-restore equivalence test, and the seed
-# corpora of the persist decoders plus the window export/import
-# fuzzer — decoders that eat arbitrary disk bytes must prove they
-# never panic before anything below trusts a restart.
+# The durability layer's crash-safety gates under the race detector
+# without -short, even in a -short run: the recovery suite (torn
+# writes, truncation, bit flips, rotate-vs-append races) and the
+# kill-and-restore equivalence test. The decoders' fuzz seed corpora
+# run in every plain `go test`.
 go test -race -run 'TestRecovery|TestKillRestore|TestRestore|TestSnapshot|TestCrash|TestRotate|TestAbort' \
   ./internal/persist/ ./internal/serve/
-go test -run 'FuzzDecodeSnapshot|FuzzScanSegment' ./internal/persist/
-go test -run 'FuzzWindowExportImport' ./internal/access/
 
 echo "== serve smoke =="
 # The serving layer end to end, race-instrumented: start blud on a

@@ -22,19 +22,18 @@
 //	             20% schedule) or observe (30% /v1/observe batches, 30%
 //	             session-keyed infers solved from the live windowed
 //	             estimate, 20% joint, 20% schedule — the streaming
-//	             refresh loop under load). Sessions are pre-seeded
-//	             synchronously before the window starts, so no worker
-//	             races a 404.
+//	             refresh loop under load) over the sessions load-a..d.
+//	             Sessions are pre-seeded synchronously before the window
+//	             starts, so no worker races a 404.
 //	-cells n     fleet mode: target a blufleet router instead of a single
-//	             daemon and drive a per-cell mix over n cells — observe
-//	             batches and session-keyed infers against the canonical
-//	             cell:<id> sessions (every request routed with ?cell=),
-//	             plus joint/schedule cycled across cells round-robin.
-//	             The cell directory is derived from (-cells, -seed), the
-//	             same derivation blufleet uses, so membership agrees
-//	             with the fleet without shared files. Manifest phases are
-//	             named Fleet/* and the embedded /metrics snapshot is the
-//	             router's fleet-wide aggregate.
+//	             daemon and drive the observe mix over n cells — one
+//	             canonical cell:<id> session per cell, every request
+//	             routed with ?cell=, joint/schedule cycled across cells
+//	             round-robin. The cell directory is derived from
+//	             (-cells, -seed), the same derivation blufleet uses, so
+//	             membership agrees with the fleet without shared files.
+//	             Manifest phases are named Fleet/* and the embedded
+//	             /metrics snapshot is the router's fleet-wide aggregate.
 //	-codec c     infer wire codec: json (default) or binary — binary
 //	             sends serve's length-prefixed frames and asks for them
 //	             back via Accept, so comparing the two runs isolates
@@ -94,7 +93,9 @@ func main() {
 	}
 }
 
-// endpoint indexes the request kinds.
+// endpoint indexes the request kinds. A request for endpoint ep goes
+// to /v1/<epNames[ep]> and reports as phase Serve/<name> (Fleet/<name>
+// through a router).
 const (
 	epInfer = iota
 	epJoint
@@ -103,120 +104,180 @@ const (
 	numEndpoints
 )
 
-var epNames = [numEndpoints]string{"Serve/infer", "Serve/joint", "Serve/schedule", "Serve/observe"}
-var epPaths = [numEndpoints]string{"/v1/infer", "/v1/joint", "/v1/schedule", "/v1/observe"}
+var epNames = [numEndpoints]string{"infer", "joint", "schedule", "observe"}
+
+// target is one streaming session the pool feeds: its id, its client
+// count, and the routing query every request for it carries ("" against
+// a single daemon).
+type target struct {
+	session string
+	n       int
+	query   string
+}
+
+// poolTargets lists the sessions a run feeds: one cell:<id> session per
+// cell of the directory (-cells) derives from (cells, seed), the four
+// load-* sessions for -mix observe, and none for the default mix.
+func poolTargets(seed uint64, mix string, cells int) ([]target, error) {
+	var targets []target
+	switch {
+	case cells > 0:
+		dir, err := fleet.DefaultDirectory(cells, seed)
+		if err != nil {
+			return nil, fmt.Errorf("-cells %d: %w", cells, err)
+		}
+		for _, c := range dir.Cells {
+			targets = append(targets, target{fleet.SessionName(c.ID), len(c.Members), "?cell=" + c.ID})
+		}
+	case mix == "observe":
+		r := rng.New(seed).Split("sessions")
+		for _, id := range []string{"load-a", "load-b", "load-c", "load-d"} {
+			targets = append(targets, target{id, 4 + r.Intn(6), ""})
+		}
+	}
+	return targets, nil
+}
+
+// payload is one request body and its routing query.
+type payload struct {
+	body  []byte
+	query string
+}
 
 // payloadPool is the seeded request corpus: a small pool per endpoint,
 // cycled by request index. The infer pool is deliberately smaller than
 // typical request counts so repeats exercise the daemon's result cache.
 type payloadPool struct {
-	byEndpoint [numEndpoints][][]byte
-	// cellQ, when populated for an endpoint, aligns with byEndpoint and
-	// carries each payload's routing query ("?cell=<id>") for fleet runs.
-	cellQ [numEndpoints][]string
+	byEndpoint [numEndpoints][]payload
 	// binaryEp marks endpoints whose bodies are binary frames, so the
 	// worker sets the matching Content-Type/Accept headers.
 	binaryEp [numEndpoints]bool
-	mix      string
-	fleet    bool
-	// seedObserve holds one observe batch per session, posted
+	// seedObserve holds each target's first observe batch, posted
 	// synchronously before the measurement window so every session a
-	// worker's infer names already exists; seedQ aligns with it in fleet
-	// runs.
-	seedObserve [][]byte
-	seedQ       []string
+	// worker's infer names already exists.
+	seedObserve []payload
 }
 
-// entryName renders an endpoint's manifest phase name: Serve/* against
-// a single daemon, Fleet/* through a router.
-func (p *payloadPool) entryName(ep int) string {
-	if p.fleet {
-		return "Fleet/" + strings.TrimPrefix(epNames[ep], "Serve/")
+// randTopo draws a random hidden-terminal layout over 4..9 clients.
+func randTopo(r *rng.Source) *blueprint.Topology {
+	n := 4 + r.Intn(6)
+	topo := &blueprint.Topology{N: n}
+	for h := 0; h < 1+r.Intn(2); h++ {
+		size := 2 + r.Intn(2)
+		var set blueprint.ClientSet
+		for set.Count() < size {
+			set = set.Add(r.Intn(n))
+		}
+		topo.HTs = append(topo.HTs, blueprint.HiddenTerminal{
+			Q:       0.2 + 0.4*r.Float64(),
+			Clients: set,
+		})
 	}
-	return epNames[ep]
+	return topo
 }
 
-// query returns the payload's routing query suffix ("" outside fleet
-// runs).
-func (p *payloadPool) query(ep, k int) string {
-	if p.cellQ[ep] == nil {
-		return ""
-	}
-	return p.cellQ[ep][k]
-}
-
-// buildPool synthesizes the corpus from seed alone. Topologies are
-// random hidden-terminal layouts; infer measurements are the analytic
-// access distributions of a truth topology, so every infer request is
-// a well-posed instance the solver can actually invert. With
-// binaryInfer the infer bodies are serve's binary frames instead of
-// JSON — the same requests byte-for-byte after decoding, so the two
-// codecs hit identical cache/coalescing keys on the server.
-func buildPool(seed uint64, binaryInfer bool, mix string) *payloadPool {
+// buildPool synthesizes the corpus from seed and targets alone.
+//
+// Without targets, infers carry measurements inline: the analytic access
+// distributions of a random truth topology, so every infer is a
+// well-posed instance the solver can invert. With binary those bodies
+// are serve's binary frames — the same requests after decoding, so both
+// codecs hit identical cache/coalescing keys.
+//
+// With targets, each target gets observe batches over its own client
+// count (binary frames with binary; every session seals every other
+// batch so epochs rotate and digests keep moving) and one session-keyed
+// JSON infer, so the cache/invalidation path runs identically under
+// both codecs. Joint and schedule bodies are stateless; they cycle over
+// the targets' routing queries so a router's proxy path sees every
+// shard.
+func buildPool(seed uint64, binary bool, targets []target) *payloadPool {
 	r := rng.New(seed).Split("payloads")
-	pool := &payloadPool{mix: mix}
-	pool.binaryEp[epInfer] = binaryInfer && mix != "observe"
-	pool.binaryEp[epObserve] = binaryInfer
-	const inferPayloads, jointPayloads, schedPayloads = 8, 16, 16
-
-	randTopo := func(r *rng.Source) *blueprint.Topology {
-		n := 4 + r.Intn(6)
-		topo := &blueprint.Topology{N: n}
-		for h := 0; h < 1+r.Intn(2); h++ {
-			size := 2 + r.Intn(2)
-			var set blueprint.ClientSet
-			for set.Count() < size {
-				set = set.Add(r.Intn(n))
-			}
-			topo.HTs = append(topo.HTs, blueprint.HiddenTerminal{
-				Q:       0.2 + 0.4*r.Float64(),
-				Clients: set,
-			})
+	pool := &payloadPool{}
+	add := func(ep int, body []byte, query string) {
+		pool.byEndpoint[ep] = append(pool.byEndpoint[ep], payload{body, query})
+	}
+	query := func(k int) string {
+		if len(targets) == 0 {
+			return ""
 		}
-		return topo
+		return targets[k%len(targets)].query
 	}
 
-	ri := r.Split("infer")
-	for k := 0; k < inferPayloads; k++ {
-		topo := randTopo(ri)
-		mw := serve.MeasurementsWire{N: topo.N, P: make([]float64, topo.N)}
-		for i := 0; i < topo.N; i++ {
-			mw.P[i] = topo.AccessProb(i)
-			for j := i + 1; j < topo.N; j++ {
-				mw.Pairs = append(mw.Pairs, serve.PairProb{I: i, J: j, P: topo.PairProb(i, j)})
+	if len(targets) == 0 {
+		pool.binaryEp[epInfer] = binary
+		ri := r.Split("infer")
+		for k := 0; k < 8; k++ {
+			topo := randTopo(ri)
+			mw := serve.MeasurementsWire{N: topo.N, P: make([]float64, topo.N)}
+			for i := 0; i < topo.N; i++ {
+				mw.P[i] = topo.AccessProb(i)
+				for j := i + 1; j < topo.N; j++ {
+					mw.Pairs = append(mw.Pairs, serve.PairProb{I: i, J: j, P: topo.PairProb(i, j)})
+				}
+			}
+			req := serve.InferRequest{Measurements: mw, Options: serve.InferOptionsWire{Seed: ri.Uint64()}}
+			var body []byte
+			if binary {
+				body, _ = serve.EncodeInferRequest(&req)
+			} else {
+				body, _ = json.Marshal(req)
+			}
+			add(epInfer, body, "")
+		}
+	}
+
+	// Observe batches are laid out batch-major — every target's first
+	// batch, then every target's second — so consecutive observes land
+	// on different sessions.
+	pool.binaryEp[epObserve] = binary
+	const batchesPerTarget = 4
+	batches := make([][]byte, len(targets)*batchesPerTarget)
+	ro := r.Split("observe")
+	for ti, tg := range targets {
+		rt := ro.SplitIndex("target", ti)
+		for k := 0; k < batchesPerTarget; k++ {
+			req := serve.ObserveRequest{Session: tg.session, N: tg.n, Seal: k%2 == 1}
+			for o := 0; o < 8; o++ {
+				var ob serve.ObservationWire
+				for c := 0; c < tg.n; c++ {
+					if rt.Intn(4) > 0 {
+						ob.Scheduled = append(ob.Scheduled, c)
+						if rt.Intn(3) > 0 {
+							ob.Accessed = append(ob.Accessed, c)
+						}
+					}
+				}
+				req.Observations = append(req.Observations, ob)
+			}
+			body := &batches[k*len(targets)+ti]
+			if binary {
+				*body, _ = serve.EncodeObserveRequest(&req)
+			} else {
+				*body, _ = json.Marshal(req)
 			}
 		}
-		req := serve.InferRequest{
-			Measurements: mw,
-			Options:      serve.InferOptionsWire{Seed: ri.Uint64()},
-		}
-		var body []byte
-		if binaryInfer {
-			body, _ = serve.EncodeInferRequest(&req)
-		} else {
-			body, _ = json.Marshal(req)
-		}
-		pool.byEndpoint[epInfer] = append(pool.byEndpoint[epInfer], body)
+		body, _ := json.Marshal(serve.InferRequest{Session: tg.session, Options: serve.InferOptionsWire{Seed: 100 + uint64(ti)}})
+		add(epInfer, body, tg.query)
 	}
+	for i, body := range batches {
+		add(epObserve, body, query(i))
+	}
+	pool.seedObserve = pool.byEndpoint[epObserve][:len(targets)]
 
 	rj := r.Split("joint")
-	for k := 0; k < jointPayloads; k++ {
+	for k := 0; k < 16; k++ {
 		topo := randTopo(rj)
 		clear := []int{rj.Intn(topo.N)}
 		blocked := []int{}
 		if b := rj.Intn(topo.N); b != clear[0] {
 			blocked = append(blocked, b)
 		}
-		body, _ := json.Marshal(serve.JointRequest{
-			Topology: serve.TopologyToWire(topo),
-			Clear:    clear,
-			Blocked:  blocked,
-		})
-		pool.byEndpoint[epJoint] = append(pool.byEndpoint[epJoint], body)
+		body, _ := json.Marshal(serve.JointRequest{Topology: serve.TopologyToWire(topo), Clear: clear, Blocked: blocked})
+		add(epJoint, body, query(k))
 	}
-
 	rs := r.Split("schedule")
-	for k := 0; k < schedPayloads; k++ {
+	for k := 0; k < 16; k++ {
 		topo := randTopo(rs)
 		rates := make([][]float64, topo.N)
 		for i := range rates {
@@ -229,76 +290,22 @@ func buildPool(seed uint64, binaryInfer bool, mix string) *payloadPool {
 			Scheduler: [3]string{"blu", "aa", "pf"}[rs.Intn(3)],
 			Rates:     rates,
 		})
-		pool.byEndpoint[epSchedule] = append(pool.byEndpoint[epSchedule], body)
-	}
-
-	// Observe mix: the infer pool becomes session-keyed infers (always
-	// JSON — the binary codec flag moves to the observe frames) and an
-	// observe pool feeds those sessions. Every body for one session
-	// shares its client count, or the daemon would answer 409.
-	if mix == "observe" {
-		ro := r.Split("observe")
-		sessions := [4]string{"load-a", "load-b", "load-c", "load-d"}
-		var ns [len(sessions)]int
-		for si := range ns {
-			ns[si] = 4 + ro.Intn(6)
-		}
-		const observePayloads = 16
-		for k := 0; k < observePayloads; k++ {
-			si := k % len(sessions)
-			req := serve.ObserveRequest{
-				Session: sessions[si],
-				N:       ns[si],
-				// Seal every fourth batch so epochs rotate through the
-				// daemon's window and digests keep moving.
-				Seal: k%4 == 3,
-			}
-			for o := 0; o < 8; o++ {
-				var ob serve.ObservationWire
-				for c := 0; c < ns[si]; c++ {
-					if ro.Intn(4) > 0 {
-						ob.Scheduled = append(ob.Scheduled, c)
-						if ro.Intn(3) > 0 {
-							ob.Accessed = append(ob.Accessed, c)
-						}
-					}
-				}
-				req.Observations = append(req.Observations, ob)
-			}
-			var body []byte
-			if binaryInfer {
-				body, _ = serve.EncodeObserveRequest(&req)
-			} else {
-				body, _ = json.Marshal(req)
-			}
-			pool.byEndpoint[epObserve] = append(pool.byEndpoint[epObserve], body)
-			if k < len(sessions) {
-				pool.seedObserve = append(pool.seedObserve, body)
-			}
-		}
-		pool.byEndpoint[epInfer] = pool.byEndpoint[epInfer][:0]
-		for k := 0; k < inferPayloads; k++ {
-			body, _ := json.Marshal(serve.InferRequest{
-				Session: sessions[k%len(sessions)],
-				Options: serve.InferOptionsWire{Seed: 100 + uint64(k%len(sessions))},
-			})
-			pool.byEndpoint[epInfer] = append(pool.byEndpoint[epInfer], body)
-		}
+		add(epSchedule, body, query(k))
 	}
 	return pool
 }
 
 // pick maps a request index onto (endpoint, payload), the deterministic
-// mix. Default: 60% infer (cycling a small pool, so the cache sees
-// repeats), 20% joint, 20% schedule. Observe mix: 30% observe, 30%
-// session infer, 20% joint, 20% schedule — observes and session infers
-// interleave on the same sessions, so digests move under in-flight
-// infers and the invalidation path runs for real.
-func (p *payloadPool) pick(idx int64) (int, []byte, string) {
+// mix. Without sessions: 60% infer (cycling a small pool, so the cache
+// sees repeats), 20% joint, 20% schedule. With sessions: 30% observe,
+// 30% session infer, 20% joint, 20% schedule — observes and session
+// infers interleave on the same sessions, so digests move under
+// in-flight infers and the invalidation path runs for real.
+func (p *payloadPool) pick(idx int64) (int, payload) {
 	ep := epInfer
 	switch idx % 10 {
 	case 0, 1, 2:
-		if p.mix == "observe" {
+		if len(p.byEndpoint[epObserve]) > 0 {
 			ep = epObserve
 		}
 	case 6, 7:
@@ -306,124 +313,8 @@ func (p *payloadPool) pick(idx int64) (int, []byte, string) {
 	case 8, 9:
 		ep = epSchedule
 	}
-	bodies := p.byEndpoint[ep]
-	k := int(idx/10) % len(bodies)
-	return ep, bodies[k], p.query(ep, k)
-}
-
-// buildFleetPool synthesizes the fleet corpus over a cell directory:
-// observe batches and session-keyed infers against each cell's
-// canonical cell:<id> session (client count = the cell's member count),
-// joint and schedule payloads cycled across cells. Every payload
-// carries its routing query, so the whole mix flows through a blufleet
-// router's proxy path.
-func buildFleetPool(seed uint64, dir fleet.Directory, binaryObserve bool) *payloadPool {
-	r := rng.New(seed).Split("fleet-payloads")
-	pool := &payloadPool{mix: "observe", fleet: true}
-	pool.binaryEp[epObserve] = binaryObserve
-
-	randTopo := func(r *rng.Source, n int) *blueprint.Topology {
-		topo := &blueprint.Topology{N: n}
-		for h := 0; h < 1+r.Intn(2); h++ {
-			size := 2 + r.Intn(2)
-			var set blueprint.ClientSet
-			for set.Count() < size {
-				set = set.Add(r.Intn(n))
-			}
-			topo.HTs = append(topo.HTs, blueprint.HiddenTerminal{
-				Q:       0.2 + 0.4*r.Float64(),
-				Clients: set,
-			})
-		}
-		return topo
-	}
-
-	const batchesPerCell = 4
-	ro := r.Split("observe")
-	for ci := range dir.Cells {
-		cell := &dir.Cells[ci]
-		q := "?cell=" + cell.ID
-		n := len(cell.Members)
-		rc := ro.SplitIndex("cell", ci)
-		for k := 0; k < batchesPerCell; k++ {
-			req := serve.ObserveRequest{
-				Session: fleet.SessionName(cell.ID),
-				N:       n,
-				Seal:    k%2 == 1,
-			}
-			for o := 0; o < 8; o++ {
-				var ob serve.ObservationWire
-				for c := 0; c < n; c++ {
-					if rc.Intn(4) > 0 {
-						ob.Scheduled = append(ob.Scheduled, c)
-						if rc.Intn(3) > 0 {
-							ob.Accessed = append(ob.Accessed, c)
-						}
-					}
-				}
-				req.Observations = append(req.Observations, ob)
-			}
-			var body []byte
-			if binaryObserve {
-				body, _ = serve.EncodeObserveRequest(&req)
-			} else {
-				body, _ = json.Marshal(req)
-			}
-			pool.byEndpoint[epObserve] = append(pool.byEndpoint[epObserve], body)
-			pool.cellQ[epObserve] = append(pool.cellQ[epObserve], q)
-			if k == 0 {
-				pool.seedObserve = append(pool.seedObserve, body)
-				pool.seedQ = append(pool.seedQ, q)
-			}
-		}
-		body, _ := json.Marshal(serve.InferRequest{
-			Session: fleet.SessionName(cell.ID),
-			Options: serve.InferOptionsWire{Seed: 200 + uint64(ci)},
-		})
-		pool.byEndpoint[epInfer] = append(pool.byEndpoint[epInfer], body)
-		pool.cellQ[epInfer] = append(pool.cellQ[epInfer], q)
-	}
-
-	// Joint/schedule are stateless; cycle them across cells so the
-	// router's proxy path sees every shard.
-	rj := r.Split("joint")
-	rs := r.Split("schedule")
-	const statelessPayloads = 12
-	for k := 0; k < statelessPayloads; k++ {
-		cell := &dir.Cells[k%len(dir.Cells)]
-		q := "?cell=" + cell.ID
-		n := len(cell.Members)
-
-		topo := randTopo(rj, n)
-		clear := []int{rj.Intn(n)}
-		blocked := []int{}
-		if b := rj.Intn(n); b != clear[0] {
-			blocked = append(blocked, b)
-		}
-		body, _ := json.Marshal(serve.JointRequest{
-			Topology: serve.TopologyToWire(topo),
-			Clear:    clear,
-			Blocked:  blocked,
-		})
-		pool.byEndpoint[epJoint] = append(pool.byEndpoint[epJoint], body)
-		pool.cellQ[epJoint] = append(pool.cellQ[epJoint], q)
-
-		stopo := randTopo(rs, n)
-		rates := make([][]float64, n)
-		for i := range rates {
-			rates[i] = []float64{(1 + 9*rs.Float64()) * 1e6}
-		}
-		body, _ = json.Marshal(serve.ScheduleRequest{
-			Topology:  serve.TopologyToWire(stopo),
-			NumRB:     25,
-			M:         2 + rs.Intn(3),
-			Scheduler: [3]string{"blu", "aa", "pf"}[rs.Intn(3)],
-			Rates:     rates,
-		})
-		pool.byEndpoint[epSchedule] = append(pool.byEndpoint[epSchedule], body)
-		pool.cellQ[epSchedule] = append(pool.cellQ[epSchedule], q)
-	}
-	return pool
+	pl := p.byEndpoint[ep]
+	return ep, pl[int(idx/10)%len(pl)]
 }
 
 // tally accumulates one worker's observations, merged after the run so
@@ -492,7 +383,6 @@ func run(args []string) error {
 	if *cells < 0 {
 		return fmt.Errorf("-cells must be >= 0, got %d", *cells)
 	}
-	binaryInfer := *codec == "binary"
 	base := "http://" + *addr
 
 	// Liveness gate before spending the measurement window. A fleet
@@ -503,26 +393,28 @@ func run(args []string) error {
 		return err
 	}
 
-	var pool *payloadPool
+	targets, err := poolTargets(*seed, *mix, *cells)
+	if err != nil {
+		return err
+	}
+	pool := buildPool(*seed, *codec == "binary", targets)
+	phase := "Serve/"
 	if *cells > 0 {
-		dir, err := fleet.DefaultDirectory(*cells, *seed)
-		if err != nil {
-			return fmt.Errorf("-cells %d: %w", *cells, err)
-		}
-		pool = buildFleetPool(*seed, dir, binaryInfer)
-	} else {
-		pool = buildPool(*seed, binaryInfer, *mix)
+		phase = "Fleet/"
 	}
 	client := &http.Client{Timeout: 60 * time.Second}
+	send := func(ep int, pl payload) (*http.Response, []byte, error) {
+		return post(client, base+"/v1/"+epNames[ep]+pl.query, pl.body, pool.binaryEp[ep])
+	}
 
-	// Observe mix: mint every session synchronously before workers
-	// start, so no concurrent session infer races its creation to a 404.
-	for i, body := range pool.seedObserve {
-		q := ""
-		if i < len(pool.seedQ) {
-			q = pool.seedQ[i]
+	// Mint every session synchronously before workers start, so no
+	// concurrent session infer races its creation to a 404.
+	for i, pl := range pool.seedObserve {
+		resp, rbody, err := send(epObserve, pl)
+		if err == nil && resp.StatusCode != http.StatusOK {
+			err = fmt.Errorf("%d %s", resp.StatusCode, bytes.TrimSpace(rbody))
 		}
-		if err := postSeed(client, base+epPaths[epObserve]+q, body, pool.binaryEp[epObserve]); err != nil {
+		if err != nil {
 			return fmt.Errorf("session pre-seed %d: %w", i, err)
 		}
 	}
@@ -553,17 +445,10 @@ func run(args []string) error {
 				if !deadline.IsZero() && time.Now().After(deadline) {
 					return
 				}
-				ep, body, cellQ := pool.pick(idx)
+				ep, pl := pool.pick(idx)
 				for attempt := 0; ; attempt++ {
 					t0 := time.Now()
-					hreq, _ := http.NewRequest(http.MethodPost, base+epPaths[ep]+cellQ, bytes.NewReader(body))
-					if pool.binaryEp[ep] {
-						hreq.Header.Set("Content-Type", serve.ContentTypeBinary)
-						hreq.Header.Set("Accept", serve.ContentTypeBinary)
-					} else {
-						hreq.Header.Set("Content-Type", "application/json")
-					}
-					resp, err := client.Do(hreq)
+					resp, rbody, err := send(ep, pl)
 					lat := float64(time.Since(t0)) / float64(time.Millisecond)
 					if err != nil {
 						tl.failed++
@@ -572,8 +457,6 @@ func run(args []string) error {
 						}
 						break
 					}
-					rbody, _ := io.ReadAll(resp.Body)
-					resp.Body.Close()
 					if resp.StatusCode == http.StatusOK {
 						tl.ok[ep]++
 						tl.latencies[ep] = append(tl.latencies[ep], lat)
@@ -602,7 +485,7 @@ func run(args []string) error {
 					}
 					tl.failed++
 					if tl.firstErr == "" {
-						tl.firstErr = fmt.Sprintf("%s: %d %s", epPaths[ep], resp.StatusCode, bytes.TrimSpace(rbody))
+						tl.firstErr = fmt.Sprintf("/v1/%s: %d %s", epNames[ep], resp.StatusCode, bytes.TrimSpace(rbody))
 					}
 					break
 				}
@@ -647,7 +530,7 @@ func run(args []string) error {
 			if len(pool.byEndpoint[ep]) == 0 {
 				continue // endpoint not in this mix
 			}
-			fmt.Printf("  %-16s no completed requests\n", pool.entryName(ep))
+			fmt.Printf("  %-16s no completed requests\n", phase+epNames[ep])
 			continue
 		}
 		var sum float64
@@ -659,18 +542,16 @@ func run(args []string) error {
 		p90, _ := stats.Percentile(lats, 90)
 		p99, _ := stats.Percentile(lats, 99)
 		detail := fmt.Sprintf("n=%d mean=%.2fms p50=%.2fms p90=%.2fms p99=%.2fms", len(lats), mean, p50, p90, p99)
-		fmt.Printf("  %-16s %s\n", pool.entryName(ep), detail)
-		man.AddPhase(pool.entryName(ep), detail, time.Duration(sum*float64(time.Millisecond)))
+		fmt.Printf("  %-16s %s\n", phase+epNames[ep], detail)
+		man.AddPhase(phase+epNames[ep], detail, time.Duration(sum*float64(time.Millisecond)))
 	}
 
 	// The manifest's metrics are the server's snapshot, not this
 	// process's: the serve_cache_* and queue counters live in the daemon,
 	// and this is how they reach the file for ci.sh to assert on.
 	man.Finish()
-	if snap, err := fetchMetrics(base); err != nil {
+	if err := getJSON(base+"/metrics", &man.Metrics); err != nil {
 		fmt.Fprintf(os.Stderr, "bluload: metrics fetch failed: %v\n", err)
-	} else {
-		man.Metrics = *snap
 	}
 
 	if *out != "" {
@@ -689,52 +570,43 @@ func run(args []string) error {
 	return nil
 }
 
-// postSeed issues one synchronous observe outside the measurement
-// window; anything but 200 aborts the run before workers launch.
-func postSeed(client *http.Client, url string, body []byte, binary bool) error {
+// post sends one request body, with the binary codec's Content-Type
+// and Accept when binary, and returns the response with its body read
+// and closed.
+func post(client *http.Client, url string, body []byte, binary bool) (*http.Response, []byte, error) {
 	hreq, err := http.NewRequest(http.MethodPost, url, bytes.NewReader(body))
 	if err != nil {
-		return err
+		return nil, nil, err
 	}
 	if binary {
 		hreq.Header.Set("Content-Type", serve.ContentTypeBinary)
+		hreq.Header.Set("Accept", serve.ContentTypeBinary)
 	} else {
 		hreq.Header.Set("Content-Type", "application/json")
 	}
 	resp, err := client.Do(hreq)
 	if err != nil {
-		return err
+		return nil, nil, err
 	}
 	defer resp.Body.Close()
-	rbody, _ := io.ReadAll(resp.Body)
-	if resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("%d %s", resp.StatusCode, bytes.TrimSpace(rbody))
-	}
-	return nil
+	rbody, err := io.ReadAll(resp.Body)
+	return resp, rbody, err
 }
 
 func checkHealth(base string) error {
-	resp, err := http.Get(base + "/healthz")
-	if err != nil {
-		return fmt.Errorf("daemon unreachable: %w", err)
-	}
-	defer resp.Body.Close()
 	var h serve.HealthResponse
-	if err := json.NewDecoder(resp.Body).Decode(&h); err != nil || h.Status != "ok" {
+	if err := getJSON(base+"/healthz", &h); err != nil || h.Status != "ok" {
 		return fmt.Errorf("daemon unhealthy: status %q (%v)", h.Status, err)
 	}
 	return nil
 }
 
-func fetchMetrics(base string) (*obs.Snapshot, error) {
-	resp, err := http.Get(base + "/metrics")
+// getJSON decodes the JSON body of a GET.
+func getJSON(url string, v any) error {
+	resp, err := http.Get(url)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	defer resp.Body.Close()
-	var snap obs.Snapshot
-	if err := json.NewDecoder(resp.Body).Decode(&snap); err != nil {
-		return nil, err
-	}
-	return &snap, nil
+	return json.NewDecoder(resp.Body).Decode(v)
 }

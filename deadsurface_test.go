@@ -9,17 +9,17 @@ import (
 	"go/token"
 	"go/types"
 	"os"
+	pathpkg "path"
 	"path/filepath"
 	"sort"
 	"strings"
 	"testing"
 )
 
-// deadExportAllowlist exempts exported internal/ symbols that no program
-// calls yet. Each reason names the ROADMAP item that wires the symbol in,
-// or the safety-code rule that keeps it. An entry whose symbol is in use
-// (or gone) fails TestNoDeadExports, so the list cannot outlive its
-// reasons.
+// deadExportAllowlist exempts symbols that no program calls yet. Each
+// reason names the ROADMAP item that wires the symbol in, or the
+// safety-code rule that keeps it. An entry whose symbol is in use (or
+// gone) fails TestNoDeadExports, so the list cannot outlive its reasons.
 var deadExportAllowlist = map[string]string{
 	"access.Window.Freshness":         "ROADMAP 10c: the session debug endpoint reports pair freshness",
 	"access.Window.Samples":           "ROADMAP 7: per-pair sample counts scale the convergence check",
@@ -36,14 +36,18 @@ var deadExportAllowlist = map[string]string{
 	"blueprint.Topology.Condition":    "safety code: Fig 8 reference conditioning that joint tests check the calculator against",
 	"lte.Schedule.Validate":           "safety code: distinct-UE limit validator that lte and sched tests check scheduler output against",
 	"obs.Disable":                     "safety code: restores the disabled default after five packages' tests enable recording",
+
+	"blueprint.solverState.deltaReplace": "safety code: the generic reference TestDeltaSpecializationsExact checks the specialized delta kernels against",
 }
 
-// TestNoDeadExports fails when an exported top-level declaration or
-// method in a non-test internal/ file is used by no non-test file of
-// the module (root package, cmd/, examples/, internal/) or of the
-// benchmark under bench/, outside its own declaration. A method that
-// satisfies an interface — the module's own or one of the standard
-// library's, such as error or http.Handler — counts as used.
+// TestNoDeadExports fails when a top-level declaration or method is
+// used by no non-test file of the module (root package, cmd/,
+// examples/, internal/) or of the benchmark under bench/, outside its
+// own declaration. It checks exported declarations in internal/ files
+// and unexported ones in every non-test file outside bench/. A method
+// that satisfies an interface — the module's own or one of the standard
+// library's, such as error or http.Handler — counts as used, and so do
+// main and init.
 func TestNoDeadExports(t *testing.T) {
 	dead, err := deadExports(".", "blu")
 	if err != nil {
@@ -53,7 +57,7 @@ func TestNoDeadExports(t *testing.T) {
 	for _, d := range dead {
 		flagged[d.name] = true
 		if _, ok := deadExportAllowlist[d.name]; !ok {
-			t.Errorf("%s: %s is exported but no non-test file uses it: delete it, move it into a _test.go file, or allowlist it with a reason", d.pos, d.name)
+			t.Errorf("%s: no non-test file uses %s: delete it, move it into a _test.go file, or allowlist it with a reason", d.pos, d.name)
 		}
 	}
 	for name := range deadExportAllowlist {
@@ -64,9 +68,11 @@ func TestNoDeadExports(t *testing.T) {
 }
 
 // TestDeadExportsRule pins the rule on a throwaway module: an unused
-// export and one used only by a test are flagged; uses from another
-// package, from bench/, through an interface and through generics are
-// not, and a self-reference does not count.
+// export and one used only by a test are flagged, and so are unexported
+// functions, methods and values used by no non-test file; uses from
+// another package, from bench/, through an interface and through
+// generics are not, a self-reference does not count, and bench/'s own
+// unexported code is not checked.
 func TestDeadExportsRule(t *testing.T) {
 	root := t.TempDir()
 	files := map[string]string{
@@ -94,15 +100,29 @@ func Generic[E any](e E) E { return e }
 type Box[E any] struct{ v E }
 
 func (b Box[E]) Get() E { return b.v }
+
+type u struct{}
+
+func (u) unusedMethod() {}
+func (u) usedMethod()   {}
+
+var limit = 3
+
+func helper() int     { u{}.usedMethod(); return limit }
+func unused() int     { return 4 }
+func testHelper() int { return 5 }
+func init()           { _ = helper() }
 `,
-		"internal/a/a_test.go": "package a\n\nvar _ = TestOnly()\n",
+		"internal/a/a_test.go": "package a\n\nvar _ = TestOnly() + testHelper()\n",
 		"cmd/c/main.go": `package main
 
 import "m/internal/a"
 
+func deadInMain() {}
+
 func main() { _ = a.Used(); _ = a.Generic(1); _ = a.Box[int]{}.Get() }
 `,
-		"bench/main.go": "package main\n\nimport \"m/internal/a\"\n\nfunc main() { _ = a.BenchOnly() }\n",
+		"bench/main.go": "package main\n\nimport \"m/internal/a\"\n\nfunc benchHelper() {}\n\nfunc main() { _ = a.BenchOnly() }\n",
 	}
 	for name, src := range files {
 		path := filepath.Join(root, filepath.FromSlash(name))
@@ -121,7 +141,7 @@ func main() { _ = a.Used(); _ = a.Generic(1); _ = a.Box[int]{}.Get() }
 	for _, d := range dead {
 		got = append(got, d.name)
 	}
-	want := []string{"a.Recursive", "a.T.Helper", "a.TestOnly", "a.Unused"}
+	want := []string{"a.Recursive", "a.T.Helper", "a.TestOnly", "a.Unused", "a.testHelper", "a.u.unusedMethod", "a.unused", "c.deadInMain"}
 	if strings.Join(got, " ") != strings.Join(want, " ") {
 		t.Fatalf("flagged %v, want %v", got, want)
 	}
@@ -134,7 +154,8 @@ type deadExport struct {
 
 // deadExports type-checks the non-test files of the module at root
 // (import path mod) and of its bench/ directory, and returns the
-// exported internal/ declarations the rule above flags, sorted by name.
+// declarations the rule above flags, sorted by name. A symbol is named
+// by its package directory, so cmd/bluload's run is bluload.run.
 func deadExports(root, mod string) ([]deadExport, error) {
 	// The source importer type-checks the standard library from GOROOT;
 	// without cgo it needs no C toolchain.
@@ -181,19 +202,22 @@ func deadExports(root, mod string) ([]deadExport, error) {
 	ifaces := l.interfaces()
 
 	var dead []deadExport
+	under := func(path, dir string) bool { return path == mod+"/"+dir || strings.HasPrefix(path, mod+"/"+dir+"/") }
 	for path, p := range l.pkgs {
-		if path != mod+"/internal" && !strings.HasPrefix(path, mod+"/internal/") {
+		if under(path, "bench") {
 			continue
 		}
+		checkExported := under(path, "internal")
 		for _, f := range p.files {
 			for _, decl := range f.Decls {
 				for _, c := range declared(decl, p.info) {
-					if !c.obj.Exported() || usedOutside(uses[c.obj], c.node) || satisfiesInterface(c.obj, ifaces) {
+					if c.obj.Exported() && !checkExported || exempt(c.obj) ||
+						usedOutside(uses[c.obj], c.node) || satisfiesInterface(c.obj, ifaces) {
 						continue
 					}
-					name := p.types.Name() + "." + c.obj.Name()
+					name := pathpkg.Base(path) + "." + c.obj.Name()
 					if recv := receiverNamed(c.obj); recv != nil {
-						name = p.types.Name() + "." + recv.Obj().Name() + "." + c.obj.Name()
+						name = pathpkg.Base(path) + "." + recv.Obj().Name() + "." + c.obj.Name()
 					}
 					dead = append(dead, deadExport{name, l.fset.Position(c.obj.Pos())})
 				}
@@ -322,6 +346,18 @@ func declared(decl ast.Decl, info *types.Info) []candidate {
 		return out
 	}
 	return nil
+}
+
+// exempt reports the declarations that are used without a reference:
+// blank names, init, and a main package's main.
+func exempt(obj types.Object) bool {
+	switch obj.Name() {
+	case "_", "init":
+		return true
+	case "main":
+		return obj.Pkg().Name() == "main"
+	}
+	return false
 }
 
 func origin(obj types.Object) types.Object {

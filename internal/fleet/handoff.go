@@ -21,14 +21,11 @@
 package fleet
 
 import (
-	"bytes"
-	"context"
-	"encoding/json"
 	"fmt"
-	"io"
 	"net/http"
 
 	"blu/internal/obs"
+	"blu/internal/serve"
 )
 
 var (
@@ -78,17 +75,11 @@ func (sh *Shard) cellMatcher(cells []string) func(string) bool {
 
 // handleHandoff is POST /v1/fleet/handoff.
 func (sh *Shard) handleHandoff(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		writeRouterError(w, http.StatusMethodNotAllowed, "POST required")
-		return
-	}
 	// Handoff bodies carry whole session records including cached
 	// response bytes; allow far more than the exchange cap.
-	r.Body = http.MaxBytesReader(w, r.Body, 64<<20)
 	var req HandoffRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+	if !decodeAdmin(w, r, 64<<20, &req) {
 		obsHandoffErrors.Inc()
-		writeRouterError(w, http.StatusBadRequest, "bad JSON")
 		return
 	}
 
@@ -120,8 +111,7 @@ func (sh *Shard) handleHandoff(w http.ResponseWriter, r *http.Request) {
 		writeRouterError(w, http.StatusBadRequest, "unknown mode")
 		return
 	}
-	w.Header().Set("Content-Type", "application/json")
-	json.NewEncoder(w).Encode(resp)
+	serve.WriteJSON(w, http.StatusOK, resp)
 }
 
 // checkpoint makes a session mutation durable on a stateful shard; a
@@ -131,32 +121,4 @@ func (sh *Shard) checkpoint() {
 	if sh.srv.Durable() {
 		_ = sh.srv.SnapshotNow()
 	}
-}
-
-// postHandoff drives one handoff call against a shard base URL — the
-// router's client side of the protocol.
-func postHandoff(ctx context.Context, client *http.Client, baseURL string, req *HandoffRequest) (*HandoffResponse, error) {
-	body, err := json.Marshal(req)
-	if err != nil {
-		return nil, err
-	}
-	hreq, err := http.NewRequestWithContext(ctx, http.MethodPost, baseURL+"/v1/fleet/handoff", bytes.NewReader(body))
-	if err != nil {
-		return nil, err
-	}
-	hreq.Header.Set("Content-Type", "application/json")
-	hres, err := client.Do(hreq)
-	if err != nil {
-		return nil, err
-	}
-	defer hres.Body.Close()
-	if hres.StatusCode != http.StatusOK {
-		msg, _ := io.ReadAll(io.LimitReader(hres.Body, 512))
-		return nil, fmt.Errorf("fleet: handoff %s to %s: status %d: %s", req.Mode, baseURL, hres.StatusCode, msg)
-	}
-	var resp HandoffResponse
-	if err := json.NewDecoder(hres.Body).Decode(&resp); err != nil {
-		return nil, err
-	}
-	return &resp, nil
 }

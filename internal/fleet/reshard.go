@@ -18,7 +18,6 @@ package fleet
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"net/http"
 	"sort"
@@ -26,6 +25,7 @@ import (
 	"time"
 
 	"blu/internal/obs"
+	"blu/internal/serve"
 )
 
 var (
@@ -114,6 +114,13 @@ func (rt *Router) Reshard(ctx context.Context, req ReshardRequest) (*ReshardResp
 		}
 		return "", fmt.Errorf("fleet: no URL for shard %q", name)
 	}
+	handoff := func(url string, req *HandoffRequest) (*HandoffResponse, error) {
+		var resp HandoffResponse
+		if err := shardCall(ctx, rt.client, url, "/v1/fleet/handoff", req, &resp); err != nil {
+			return nil, fmt.Errorf("handoff %s: %w", req.Mode, err)
+		}
+		return &resp, nil
+	}
 
 	// The moved set is exactly where old and new rings disagree.
 	type move struct{ loser, gainer string }
@@ -157,14 +164,14 @@ func (rt *Router) Reshard(ctx context.Context, req ReshardRequest) (*ReshardResp
 		if err != nil {
 			return abort(err)
 		}
-		exp, err := postHandoff(ctx, rt.client, loserURL, &HandoffRequest{Mode: "export", Cells: cells})
+		exp, err := handoff(loserURL, &HandoffRequest{Mode: "export", Cells: cells})
 		if err != nil {
 			return abort(err)
 		}
 		if len(exp.Sessions) == 0 {
 			continue // nothing live on those cells yet
 		}
-		if _, err := postHandoff(ctx, rt.client, gainerURL, &HandoffRequest{Mode: "import", Sessions: exp.Sessions}); err != nil {
+		if _, err := handoff(gainerURL, &HandoffRequest{Mode: "import", Sessions: exp.Sessions}); err != nil {
 			return abort(err)
 		}
 	}
@@ -192,7 +199,7 @@ func (rt *Router) Reshard(ctx context.Context, req ReshardRequest) (*ReshardResp
 		notify[req.Name] = oldShards[req.Name]
 	}
 	for _, u := range notify {
-		if _, err := postHandoff(ctx, rt.client, u, &HandoffRequest{Mode: "membership", Shards: names, Peers: newShards}); err != nil {
+		if _, err := handoff(u, &HandoffRequest{Mode: "membership", Shards: names, Peers: newShards}); err != nil {
 			obsReshardErrors.Inc()
 		}
 	}
@@ -201,7 +208,7 @@ func (rt *Router) Reshard(ctx context.Context, req ReshardRequest) (*ReshardResp
 		if err != nil {
 			continue
 		}
-		if _, err := postHandoff(ctx, rt.client, u, &HandoffRequest{Mode: "release", Cells: cells}); err != nil {
+		if _, err := handoff(u, &HandoffRequest{Mode: "release", Cells: cells}); err != nil {
 			obsReshardErrors.Inc()
 		}
 	}
@@ -235,14 +242,8 @@ func (rt *Router) waitQuiesce(ctx context.Context, cells []string) {
 
 // handleReshard is POST /v1/fleet/reshard.
 func (rt *Router) handleReshard(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		writeRouterError(w, http.StatusMethodNotAllowed, "POST required")
-		return
-	}
-	r.Body = http.MaxBytesReader(w, r.Body, 1<<16)
 	var req ReshardRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeRouterError(w, http.StatusBadRequest, "bad JSON")
+	if !decodeAdmin(w, r, 1<<16, &req) {
 		return
 	}
 	resp, err := rt.Reshard(r.Context(), req)
@@ -250,6 +251,5 @@ func (rt *Router) handleReshard(w http.ResponseWriter, r *http.Request) {
 		writeRouterError(w, http.StatusConflict, err.Error())
 		return
 	}
-	w.Header().Set("Content-Type", "application/json")
-	json.NewEncoder(w).Encode(resp)
+	serve.WriteJSON(w, http.StatusOK, resp)
 }

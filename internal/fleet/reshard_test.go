@@ -9,6 +9,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"sort"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -378,5 +379,43 @@ func TestHandoffImportErrorIsJSON(t *testing.T) {
 	}
 	if err := json.Unmarshal(w.Body.Bytes(), &er); err != nil || er.Error == "" {
 		t.Fatalf("error body is not {\"error\": ...} JSON (%v): %s", err, w.Body)
+	}
+}
+
+// TestAdminEndpointsRejectTrailingBytes: the exchange, handoff and
+// reshard endpoints decode strictly. A lenient decoder stopped at the
+// first JSON value, so a membership handoff followed by junk was
+// applied.
+func TestAdminEndpointsRejectTrailingBytes(t *testing.T) {
+	sh, _, err := NewShard(ShardConfig{
+		Name:       "shard-0",
+		ShardNames: []string{"shard-0"},
+		Directory:  testDirectory(),
+		Serve:      serve.Config{Workers: 1},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sh.Drain(context.Background())
+	rt, err := NewRouter(RouterConfig{Shards: map[string]string{"shard-0": "http://127.0.0.1:1"}, Directory: testDirectory()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		h          http.Handler
+		path, body string
+	}{
+		{sh.Handler(), "/v1/fleet/handoff", `{"mode":"membership","shards":["shard-0","shard-9"]}junk`},
+		{sh.Handler(), "/v1/fleet/exchange", `{"from":"shard-1","reports":[]}junk`},
+		{rt.Handler(), "/v1/fleet/reshard", `{"action":"remove","name":"shard-0"}junk`},
+	} {
+		w := httptest.NewRecorder()
+		c.h.ServeHTTP(w, httptest.NewRequest(http.MethodPost, c.path, strings.NewReader(c.body)))
+		if w.Code != http.StatusBadRequest {
+			t.Errorf("%s answered %d, want 400: %s", c.path, w.Code, w.Body)
+		}
+	}
+	if nodes := sh.ring.Load().Nodes(); len(nodes) != 1 {
+		t.Errorf("rejected membership handoff was applied: ring %v", nodes)
 	}
 }

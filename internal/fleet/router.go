@@ -13,7 +13,6 @@ package fleet
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -25,6 +24,7 @@ import (
 	"time"
 
 	"blu/internal/obs"
+	"blu/internal/serve"
 )
 
 var (
@@ -132,15 +132,6 @@ func (rt *Router) Close(ctx context.Context) error {
 		return nil
 	}
 	return rt.httpSrv.Shutdown(ctx)
-}
-
-// shardFor resolves a cell id to the owning shard's name and URL.
-func (rt *Router) shardFor(cellID string) (name, url string, ok bool) {
-	rt.mu.RLock()
-	defer rt.mu.RUnlock()
-	name = rt.ring.Owner(cellID)
-	url, ok = rt.shards[name]
-	return name, url, ok
 }
 
 // admit resolves a cell for relaying under one critical section: a
@@ -284,9 +275,7 @@ func (rt *Router) handleProxy(w http.ResponseWriter, r *http.Request) {
 }
 
 func writeRouterError(w http.ResponseWriter, status int, msg string) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	json.NewEncoder(w).Encode(map[string]string{"error": msg})
+	serve.WriteJSON(w, status, serve.ErrorResponse{Error: msg})
 }
 
 // MapCell is one cell's freshness entry in the merged map.
@@ -353,8 +342,8 @@ func (rt *Router) handleMap(w http.ResponseWriter, r *http.Request) {
 	}
 	sort.Strings(names)
 	for _, name := range names {
-		bp, err := rt.fetchBlueprints(r.Context(), shards[name])
-		if err != nil {
+		var bp BlueprintsResponse
+		if err := shardCall(r.Context(), rt.client, shards[name], "/v1/fleet/blueprints", nil, &bp); err != nil {
 			resp.Unreached = append(resp.Unreached, name)
 			continue
 		}
@@ -422,29 +411,7 @@ func (rt *Router) handleMap(w http.ResponseWriter, r *http.Request) {
 		resp.HTs = append(resp.HTs, ht)
 	}
 	obsMergeHTs.Add(int64(len(resp.HTs)))
-
-	w.Header().Set("Content-Type", "application/json")
-	json.NewEncoder(w).Encode(resp)
-}
-
-func (rt *Router) fetchBlueprints(ctx context.Context, baseURL string) (*BlueprintsResponse, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, baseURL+"/v1/fleet/blueprints", nil)
-	if err != nil {
-		return nil, err
-	}
-	res, err := rt.client.Do(req)
-	if err != nil {
-		return nil, err
-	}
-	defer res.Body.Close()
-	if res.StatusCode != http.StatusOK {
-		return nil, fmt.Errorf("status %d", res.StatusCode)
-	}
-	var bp BlueprintsResponse
-	if err := json.NewDecoder(res.Body).Decode(&bp); err != nil {
-		return nil, err
-	}
-	return &bp, nil
+	serve.WriteJSON(w, http.StatusOK, resp)
 }
 
 // handleMetrics is GET /metrics. In aggregating mode it sums every
@@ -456,8 +423,7 @@ func (rt *Router) fetchBlueprints(ctx context.Context, baseURL string) (*Bluepri
 // multiply-count).
 func (rt *Router) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	if rt.cfg.LocalMetrics {
-		w.Header().Set("Content-Type", "application/json")
-		json.NewEncoder(w).Encode(obs.Snap())
+		serve.WriteJSON(w, http.StatusOK, obs.Snap())
 		return
 	}
 	total := obs.Snap()
@@ -468,34 +434,13 @@ func (rt *Router) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	}
 	sort.Strings(names)
 	for _, name := range names {
-		snap, err := rt.fetchMetrics(r.Context(), shards[name])
-		if err != nil {
+		var snap obs.Snapshot
+		if err := shardCall(r.Context(), rt.client, shards[name], "/metrics", nil, &snap); err != nil {
 			continue
 		}
-		total = sumSnapshots(total, *snap)
+		total = sumSnapshots(total, snap)
 	}
-	w.Header().Set("Content-Type", "application/json")
-	json.NewEncoder(w).Encode(total)
-}
-
-func (rt *Router) fetchMetrics(ctx context.Context, baseURL string) (*obs.Snapshot, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, baseURL+"/metrics", nil)
-	if err != nil {
-		return nil, err
-	}
-	res, err := rt.client.Do(req)
-	if err != nil {
-		return nil, err
-	}
-	defer res.Body.Close()
-	if res.StatusCode != http.StatusOK {
-		return nil, fmt.Errorf("status %d", res.StatusCode)
-	}
-	var snap obs.Snapshot
-	if err := json.NewDecoder(res.Body).Decode(&snap); err != nil {
-		return nil, err
-	}
-	return &snap, nil
+	serve.WriteJSON(w, http.StatusOK, total)
 }
 
 // sumSnapshots folds b into a: counters, float counters, histograms,
@@ -593,7 +538,5 @@ func (rt *Router) handleHealthz(w http.ResponseWriter, r *http.Request) {
 			status = http.StatusServiceUnavailable
 		}
 	}
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	json.NewEncoder(w).Encode(h)
+	serve.WriteJSON(w, status, h)
 }

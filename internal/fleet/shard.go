@@ -14,6 +14,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net"
 	"net/http"
 	"sync"
@@ -282,11 +283,9 @@ func (sh *Shard) ExchangeOnce(ctx context.Context) (ExchangeStats, error) {
 			if !ok {
 				return stats, fmt.Errorf("fleet: no peer URL for shard %q", owner)
 			}
-			r, err := sh.postExchange(ctx, url, req)
-			if err != nil {
+			if err := shardCall(ctx, sh.client, url, "/v1/fleet/exchange", req, &resp); err != nil {
 				return stats, err
 			}
-			resp = *r
 		}
 		stats.Folded += resp.Folded
 		stats.Deduped += resp.Deduped
@@ -295,47 +294,64 @@ func (sh *Shard) ExchangeOnce(ctx context.Context) (ExchangeStats, error) {
 	return stats, nil
 }
 
-func (sh *Shard) postExchange(ctx context.Context, baseURL string, req *ExchangeRequest) (*ExchangeResponse, error) {
-	body, err := json.Marshal(req)
+// shardCall is the fleet's one client for a shard's JSON endpoints: it
+// POSTs in as JSON (or GETs when in is nil) to baseURL+path and decodes
+// a 200 answer into out. Its errors name the endpoint and the shard
+// URL, and for any other status add the status and a bounded prefix of
+// the body.
+func shardCall(ctx context.Context, client *http.Client, baseURL, path string, in, out any) error {
+	method, body := http.MethodGet, io.Reader(nil)
+	if in != nil {
+		b, err := json.Marshal(in)
+		if err != nil {
+			return err
+		}
+		method, body = http.MethodPost, bytes.NewReader(b)
+	}
+	req, err := http.NewRequestWithContext(ctx, method, baseURL+path, body)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	hreq, err := http.NewRequestWithContext(ctx, http.MethodPost, baseURL+"/v1/fleet/exchange", bytes.NewReader(body))
+	req.Header.Set("Content-Type", "application/json")
+	res, err := client.Do(req)
 	if err != nil {
-		return nil, err
+		return fmt.Errorf("fleet: %s on %s: %w", path, baseURL, err)
 	}
-	hreq.Header.Set("Content-Type", "application/json")
-	hres, err := sh.client.Do(hreq)
-	if err != nil {
-		return nil, err
+	defer res.Body.Close()
+	if res.StatusCode != http.StatusOK {
+		msg, _ := io.ReadAll(io.LimitReader(res.Body, 512))
+		return fmt.Errorf("fleet: %s on %s: status %d: %s", path, baseURL, res.StatusCode, bytes.TrimSpace(msg))
 	}
-	defer hres.Body.Close()
-	if hres.StatusCode != http.StatusOK {
-		return nil, fmt.Errorf("fleet: exchange to %s: status %d", baseURL, hres.StatusCode)
+	if err := json.NewDecoder(res.Body).Decode(out); err != nil {
+		return fmt.Errorf("fleet: %s on %s: %w", path, baseURL, err)
 	}
-	var resp ExchangeResponse
-	if err := json.NewDecoder(hres.Body).Decode(&resp); err != nil {
-		return nil, err
-	}
-	return &resp, nil
+	return nil
 }
 
 // handleExchange is POST /v1/fleet/exchange: fold a peer's border
 // reports into the owned cells' warm-start seeds.
 func (sh *Shard) handleExchange(w http.ResponseWriter, r *http.Request) {
+	var req ExchangeRequest
+	if !decodeAdmin(w, r, 1<<20, &req) {
+		return
+	}
+	serve.WriteJSON(w, http.StatusOK, sh.applyExchange(&req))
+}
+
+// decodeAdmin gates a fleet admin POST: the method, a body of at most
+// limit bytes, and serve's strict JSON decode into v. On failure it has
+// answered the request and returns false.
+func decodeAdmin(w http.ResponseWriter, r *http.Request, limit int64, v any) bool {
 	if r.Method != http.MethodPost {
 		writeRouterError(w, http.StatusMethodNotAllowed, "POST required")
-		return
+		return false
 	}
-	r.Body = http.MaxBytesReader(w, r.Body, 1<<20)
-	var req ExchangeRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeRouterError(w, http.StatusBadRequest, "bad JSON")
-		return
+	r.Body = http.MaxBytesReader(w, r.Body, limit)
+	if err := serve.DecodeJSON(r, v); err != nil {
+		writeRouterError(w, http.StatusBadRequest, err.Error())
+		return false
 	}
-	resp := sh.applyExchange(&req)
-	w.Header().Set("Content-Type", "application/json")
-	json.NewEncoder(w).Encode(resp)
+	return true
 }
 
 // CellBlueprintWire is one owned cell's current blueprint, clients in
@@ -387,6 +403,5 @@ func (sh *Shard) handleBlueprints(w http.ResponseWriter, r *http.Request) {
 		}
 		resp.Cells = append(resp.Cells, wire)
 	}
-	w.Header().Set("Content-Type", "application/json")
-	json.NewEncoder(w).Encode(resp)
+	serve.WriteJSON(w, http.StatusOK, resp)
 }

@@ -11,6 +11,7 @@ import (
 	"context"
 	"fmt"
 
+	"blu/internal/access"
 	"blu/internal/blueprint"
 	"blu/internal/geom"
 	"blu/internal/parallel"
@@ -145,33 +146,16 @@ func floorFor(nodes int) geom.Floor {
 // MeasureFromMasks computes the empirical access distributions from
 // the cell's full per-subframe access masks — the way the paper derives
 // p(i) and p(i,j) from promiscuous-mode WiFi activity traces captured
-// at the UEs.
+// at the UEs. It is the measurement phase's estimator with every client
+// scheduled in every subframe.
 func MeasureFromMasks(cell *sim.Cell) *blueprint.Measurements {
-	n := cell.NumUE()
-	total := cell.Subframes()
-	countI := make([]int, n)
-	countIJ := make([][]int, n)
-	for i := range countIJ {
-		countIJ[i] = make([]int, n)
+	all := make([]int, cell.NumUE())
+	for i := range all {
+		all[i] = i
 	}
-	for sf := 0; sf < total; sf++ {
-		mask := cell.AccessMask(sf)
-		mask.ForEach(func(i int) {
-			countI[i]++
-			mask.ForEach(func(j int) {
-				if j > i {
-					countIJ[i][j]++
-				}
-			})
-		})
+	est := access.NewEstimator(len(all))
+	for sf := 0; sf < cell.Subframes(); sf++ {
+		est.Record(all, cell.AccessMask(sf))
 	}
-	m := blueprint.NewMeasurements(n)
-	for i := 0; i < n; i++ {
-		m.P[i] = float64(countI[i]) / float64(total)
-		for j := i + 1; j < n; j++ {
-			m.SetPair(i, j, float64(countIJ[i][j])/float64(total))
-		}
-	}
-	m.Clamp(1e-4)
-	return m
+	return est.Measurements()
 }

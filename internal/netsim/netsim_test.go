@@ -5,6 +5,7 @@ import (
 	"reflect"
 	"testing"
 
+	"blu/internal/blueprint"
 	"blu/internal/sim"
 	"blu/internal/stats"
 )
@@ -141,5 +142,54 @@ func TestRunBatchSeedStrideIndependence(t *testing.T) {
 	}
 	if shifted == len(a)-1 {
 		t.Fatal("seed+stride batch replays the base batch's topology stream shifted by one index")
+	}
+}
+
+// measureFromMasksReference is MeasureFromMasks' original hand-counted
+// loop, kept as the oracle the estimator-backed version must match bit
+// for bit.
+func measureFromMasksReference(cell *sim.Cell) *blueprint.Measurements {
+	n := cell.NumUE()
+	total := cell.Subframes()
+	countI := make([]int, n)
+	countIJ := make([][]int, n)
+	for i := range countIJ {
+		countIJ[i] = make([]int, n)
+	}
+	for sf := 0; sf < total; sf++ {
+		mask := cell.AccessMask(sf)
+		mask.ForEach(func(i int) {
+			countI[i]++
+			mask.ForEach(func(j int) {
+				if j > i {
+					countIJ[i][j]++
+				}
+			})
+		})
+	}
+	m := blueprint.NewMeasurements(n)
+	for i := 0; i < n; i++ {
+		m.P[i] = float64(countI[i]) / float64(total)
+		for j := i + 1; j < n; j++ {
+			m.SetPair(i, j, float64(countIJ[i][j])/float64(total))
+		}
+	}
+	m.Clamp(1e-4)
+	return m
+}
+
+func TestMeasureFromMasksMatchesReference(t *testing.T) {
+	for _, seed := range []uint64{71, 72} {
+		cell, err := sim.New(sim.Config{
+			Scenario:  sim.NewTestbedScenario(8, 12, seed),
+			Subframes: 4000,
+			Seed:      seed,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, want := MeasureFromMasks(cell), measureFromMasksReference(cell); !reflect.DeepEqual(got, want) {
+			t.Errorf("seed %d: estimator-backed measurements differ from the reference loop", seed)
+		}
 	}
 }

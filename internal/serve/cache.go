@@ -96,13 +96,6 @@ func (c *lruCache) remove(key uint64) bool {
 	return true
 }
 
-// len returns the current entry count.
-func (c *lruCache) len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.ll.Len()
-}
-
 // flight is one in-flight infer computation shared by every request
 // with the same digest: the leader runs the solver and publishes the
 // finished (status, body); followers wait on done.

@@ -138,12 +138,9 @@ func (s *Server) replayObserveRecord(_ uint64, payload []byte) error {
 	if err != nil {
 		return err
 	}
-	sess, evicted, err := s.sessions.getOrCreate(req.Session, req.N)
+	sess, err := s.openSession(req.Session, req.N)
 	if err != nil {
 		return err
-	}
-	if evicted != nil {
-		s.dropSessionKeys(evicted)
 	}
 	_, err = s.foldObserve(sess, req, accessed, nil)
 	return err
@@ -210,20 +207,15 @@ type cachedBody struct {
 }
 
 // restoreSessionRecord is the snapshot-restore callback: decode one
-// record and install the session. A rejected record is counted corrupt
-// by persist and recovery continues with the remaining sessions.
+// record, install the session, and re-seat its cached response bodies.
+// A full registry or a live session with the same id refuses the
+// install. A rejected record is counted corrupt by persist and recovery
+// continues with the remaining sessions.
 func (s *Server) restoreSessionRecord(rec []byte) error {
 	sess, bodies, err := decodeSessionRecord(rec)
 	if err != nil {
 		return err
 	}
-	return s.installSession(sess, bodies)
-}
-
-// installSession registers a decoded session and re-seats its cached
-// response bodies. A full registry or a live session with the same id
-// refuses the install.
-func (s *Server) installSession(sess *session, bodies []cachedBody) error {
 	if !s.sessions.install(sess) {
 		return fmt.Errorf("session registry full at %q", sess.id)
 	}

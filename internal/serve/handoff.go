@@ -40,13 +40,15 @@ func (s *Server) ExportSessionRecords(match func(id string) bool) []SessionExpor
 }
 
 // ImportSessionRecord installs one exported session through the same
-// validate + digest-gate path as snapshot restore. An existing session
-// with the same id is replaced (its minted cache keys dropped first),
-// so a retried handoff is idempotent — but only once the record has
-// decoded in full: a record this shard refuses leaves the session it
-// already holds, and that session's cached answers, in place. The
-// import is memory-only; a durable caller should SnapshotNow afterwards
-// to make the transfer crash-safe on this side.
+// validate + digest-gate path as snapshot restore, as the most recently
+// used session. An existing session with the same id is replaced, so a
+// retried handoff is idempotent; otherwise a full registry evicts its
+// least-recently-used session, as an observe creating one would. Either
+// way the displaced session's minted cache keys are dropped before the
+// record's bodies are seated. A record this shard refuses leaves the
+// session it already holds, and that session's cached answers, in
+// place. The import is memory-only; a durable caller should SnapshotNow
+// afterwards to make the transfer crash-safe on this side.
 func (s *Server) ImportSessionRecord(rec []byte) error {
 	sess, bodies, err := decodeSessionRecord(rec)
 	if err != nil {
@@ -54,11 +56,11 @@ func (s *Server) ImportSessionRecord(rec []byte) error {
 	}
 	s.stateMu.Lock()
 	defer s.stateMu.Unlock()
-	if old := s.sessions.remove(sess.id); old != nil {
+	if old := s.sessions.put(sess); old != nil {
 		s.dropSessionKeys(old)
 	}
-	if err := s.installSession(sess, bodies); err != nil {
-		return err
+	for _, cb := range bodies {
+		s.cache.put(cb.key, cb.body)
 	}
 	obsHandoffImported.Inc()
 	return nil

@@ -62,6 +62,48 @@ func TestHandoffRoundTrip(t *testing.T) {
 	}
 }
 
+// TestImportEvictsLRU is the regression for reshards into a full
+// registry: an import used to go through the snapshot-restore install,
+// which refuses once the registry holds maxSessions, so the gainer
+// answered 422 and every retried reshard aborted the same way. An
+// import now evicts the least-recently-used session, as an observe
+// creating one does.
+func TestImportEvictsLRU(t *testing.T) {
+	src, tsSrc, _ := newDurableServer(t, Config{Workers: 1})
+	defer drainServer(t, src, tsSrc)
+	dst, tsDst, _ := newDurableServer(t, Config{Workers: 1})
+	defer drainServer(t, dst, tsDst)
+	dst.sessions = newSessionStore(1, windowEpochs)
+
+	postObserve(t, tsDst.URL, ObserveRequest{Session: "a", N: 3, Observations: htObservations(20, 3)})
+	sessionInfer(t, tsDst.URL, "a")
+	keys := mintedKeys(dst.sessions.get("a"))
+	if len(keys) == 0 {
+		t.Fatal("session infer minted no cache key")
+	}
+	postObserve(t, tsSrc.URL, ObserveRequest{Session: "b", N: 3, Observations: htObservations(30, 5)})
+
+	evict0, dropped0 := obsSessionEvict.Value(), obsSessionRestoreDropped.Value()
+	if err := dst.ImportSessionRecord(src.ExportSessionRecords(nil)[0].Record); err != nil {
+		t.Fatalf("import into a full registry: %v", err)
+	}
+	if dst.sessions.get("b") == nil {
+		t.Fatal("imported session b is not live")
+	}
+	if dst.sessions.get("a") != nil {
+		t.Fatal("least-recently-used session a survived the import")
+	}
+	for _, k := range keys {
+		if _, ok := dst.cache.peek(k); ok {
+			t.Errorf("evicted session a's key %016x is still cached", k)
+		}
+	}
+	if obsSessionEvict.Value() != evict0+1 || obsSessionRestoreDropped.Value() != dropped0 {
+		t.Errorf("evictions +%d, restore drops +%d; want +1 and +0",
+			obsSessionEvict.Value()-evict0, obsSessionRestoreDropped.Value()-dropped0)
+	}
+}
+
 // TestImportRejectsDamage pins that the import path keeps the restore
 // validation: a record whose bytes were disturbed is refused whole.
 func TestImportRejectsDamage(t *testing.T) {

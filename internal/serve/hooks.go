@@ -53,12 +53,9 @@ func (s *Server) SeedSessionBlueprint(id string, n int, topo *blueprint.Topology
 		return false, fmt.Errorf("serve: seed blueprint: %w", err)
 	}
 	seed = seed.Normalize()
-	sess, evicted, err := s.sessions.getOrCreate(id, n)
+	sess, err := s.openSession(id, n)
 	if err != nil {
 		return false, err
-	}
-	if evicted != nil {
-		s.dropSessionKeys(evicted)
 	}
 	sess.mu.Lock()
 	defer sess.mu.Unlock()

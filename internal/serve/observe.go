@@ -10,7 +10,6 @@ package serve
 import (
 	"context"
 	"fmt"
-	"io"
 	"net/http"
 
 	"blu/internal/blueprint"
@@ -76,37 +75,14 @@ func (s *Server) handleObserve(w http.ResponseWriter, r *http.Request) {
 	if binaryResp {
 		obsBinary.Inc()
 	}
-	if mediaType(r.Header.Get("Content-Type")) == ContentTypeBinary {
-		obsBinary.Inc()
-		data, err := io.ReadAll(r.Body)
-		if err != nil {
-			writeError(w, http.StatusBadRequest, "read body: "+err.Error())
-			return
-		}
-		dec, err := DecodeObserveRequest(data)
-		if err != nil {
-			writeError(w, http.StatusBadRequest, err.Error())
-			return
-		}
-		req = *dec
-	} else if err := decode(r, &req); err != nil {
+	if err := decodeBody(r, &req, DecodeObserveRequest); err != nil {
 		writeError(w, http.StatusBadRequest, err.Error())
 		return
 	}
-
 	accessed, err := validateObserve(&req)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err.Error())
 		return
-	}
-
-	sess, evicted, err := s.sessions.getOrCreate(req.Session, req.N)
-	if err != nil {
-		writeError(w, http.StatusConflict, err.Error())
-		return
-	}
-	if evicted != nil {
-		s.dropSessionKeys(evicted)
 	}
 
 	// Durable servers log the batch before folding it. The canonical
@@ -121,24 +97,25 @@ func (s *Server) handleObserve(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-
-	ctx, cancel := s.requestContext(r, req.TimeoutMS)
-	defer cancel()
+	// Session lookup or creation (and the LRU eviction it may cost) runs
+	// inside the job with the fold, so a shed or expired observe leaves
+	// the registry and the cache as they were.
 	var resp ObserveResponse
-	var foldErr error
-	ran := false
-	if err := s.submit(ctx, func(context.Context) {
+	var sessErr, foldErr error
+	if st, msg := s.compute(r, req.TimeoutMS, func(context.Context) {
+		var sess *session
+		if sess, sessErr = s.openSession(req.Session, req.N); sessErr != nil {
+			return
+		}
 		s.stateMu.RLock()
 		resp, foldErr = s.foldObserve(sess, &req, accessed, walPayload)
 		s.stateMu.RUnlock()
-		ran = true
-	}); err != nil {
-		st, msg := submitErrToStatus(err)
+	}); st != http.StatusOK {
 		writeError(w, st, msg)
 		return
 	}
-	if !ran {
-		writeError(w, http.StatusGatewayTimeout, "request deadline exceeded")
+	if sessErr != nil {
+		writeError(w, http.StatusConflict, sessErr.Error())
 		return
 	}
 	if foldErr != nil {
@@ -157,7 +134,7 @@ func (s *Server) handleObserve(w http.ResponseWriter, r *http.Request) {
 		writeBody(w, http.StatusOK, ContentTypeBinary, body)
 		return
 	}
-	writeJSON(w, http.StatusOK, resp)
+	WriteJSON(w, http.StatusOK, resp)
 }
 
 // foldObserve applies one validated batch to its session under the
@@ -202,6 +179,17 @@ func (s *Server) foldObserve(sess *session, req *ObserveRequest, accessed []blue
 	resp.Epoch = sess.win.Epoch()
 	resp.Digest = fmt.Sprintf("%016x", dg)
 	return resp, nil
+}
+
+// openSession returns the live session for id, creating it over n
+// clients on first use; a session the registry evicts to make room
+// loses its minted cache keys here.
+func (s *Server) openSession(id string, n int) (*session, error) {
+	sess, evicted, err := s.sessions.getOrCreate(id, n)
+	if evicted != nil {
+		s.dropSessionKeys(evicted)
+	}
+	return sess, err
 }
 
 // dropSessionKeys invalidates every cache entry minted by a session

@@ -267,6 +267,53 @@ func TestObserveSessionEviction(t *testing.T) {
 	}
 }
 
+// mintedKeys snapshots the cache keys a session has minted.
+func mintedKeys(sess *session) []uint64 {
+	sess.mu.Lock()
+	defer sess.mu.Unlock()
+	var keys []uint64
+	for k := range sess.minted {
+		keys = append(keys, k)
+	}
+	return keys
+}
+
+// TestShedObserveTouchesNoSessions is the backpressure regression for
+// the session registry: an observe for a new id used to create its
+// session — evicting the least-recently-used one and invalidating that
+// session's cached answers — before submit, so a request shed with 429
+// still rewrote the registry.
+func TestShedObserveTouchesNoSessions(t *testing.T) {
+	s, ts := newTestServer(t, Config{Workers: 1, QueueDepth: 1})
+	s.sessions = newSessionStore(1, windowEpochs)
+	postObserve(t, ts.URL, ObserveRequest{Session: "resident", N: 3, Observations: htObservations(20, 3)})
+	sessionInfer(t, ts.URL, "resident")
+	keys := mintedKeys(s.sessions.get("resident"))
+	if len(keys) == 0 {
+		t.Fatal("session infer minted no cache key")
+	}
+	evict0 := obsSessionEvict.Value()
+
+	release := wedge(t, s)
+	resp := post(t, ts.URL+"/v1/observe", observeBody(t, ObserveRequest{Session: "newcomer", N: 3, Observations: htObservations(5, 3)}))
+	body := readAll(t, resp)
+	release()
+	if resp.StatusCode != http.StatusTooManyRequests {
+		t.Fatalf("status %d, want 429 (body %s)", resp.StatusCode, body)
+	}
+	if s.sessions.get("newcomer") != nil {
+		t.Error("a shed observe created its session")
+	}
+	if s.sessions.get("resident") == nil || obsSessionEvict.Value() != evict0 {
+		t.Error("a shed observe evicted the resident session")
+	}
+	for _, k := range keys {
+		if _, ok := s.cache.peek(k); !ok {
+			t.Errorf("a shed observe invalidated the resident session's key %016x", k)
+		}
+	}
+}
+
 // TestObserveBinary drives /v1/observe with binary frames both ways
 // and checks the result is indistinguishable from the JSON spelling:
 // same fold counts and — because the digest is content-only — the same

@@ -142,23 +142,24 @@ func (c Config) withDefaults() Config {
 }
 
 // job is one queued unit of compute work. fn runs on a pool worker
-// under the request context; done is closed when the job has run (or
-// been abandoned because its context died while queued).
+// under the request context; done is closed when the job has run (ran
+// set) or been skipped because its context died while queued.
 type job struct {
 	ctx  context.Context
 	fn   func(ctx context.Context)
 	done chan struct{}
+	ran  bool
 }
 
 func (j *job) run() {
 	defer close(j.done)
 	// A job whose request already timed out while queued is dead weight:
-	// skip the solve, the waiting handler (if any) maps the empty result
-	// to 504.
+	// skip the solve, the waiting handler (if any) answers 504.
 	if j.ctx.Err() != nil {
 		return
 	}
 	j.fn(j.ctx)
+	j.ran = true
 }
 
 // Server is the BLU serving daemon core. Construct with NewDurable, expose
@@ -335,9 +336,43 @@ var errQueueFull = errors.New("serve: work queue full")
 // to 503.
 var errDraining = errors.New("serve: draining")
 
-// submit enqueues fn and waits for it to finish or for ctx to die.
-// A full queue fails fast with errQueueFull — bounded memory is the
-// contract, not unbounded queueing.
+// requestContext derives the per-request deadline: timeout_ms when
+// given (capped at maxTimeout), defaultTimeout otherwise.
+func requestContext(r *http.Request, timeoutMS int) (context.Context, context.CancelFunc) {
+	d := defaultTimeout
+	if timeoutMS > 0 {
+		d = min(time.Duration(timeoutMS)*time.Millisecond, maxTimeout)
+	}
+	return context.WithTimeout(r.Context(), d)
+}
+
+// compute is every compute handler's one path to the worker pool: it
+// runs fn on a pool worker under the request deadline and returns 200
+// once fn has run. Otherwise it returns the failure to answer with: 429
+// on a full queue, 503 while draining, 504 when the deadline passed
+// while the job was queued or running. A shed or expired job never runs
+// fn, so it touches no session, table, or solver state.
+func (s *Server) compute(r *http.Request, timeoutMS int, fn func(context.Context)) (int, string) {
+	ctx, cancel := requestContext(r, timeoutMS)
+	defer cancel()
+	switch err := s.submit(ctx, fn); {
+	case err == nil:
+		return http.StatusOK, ""
+	case errors.Is(err, errQueueFull):
+		return http.StatusTooManyRequests, "work queue full, retry later"
+	case errors.Is(err, errDraining):
+		return http.StatusServiceUnavailable, "server draining"
+	case errors.Is(err, context.DeadlineExceeded):
+		return http.StatusGatewayTimeout, "request deadline exceeded"
+	default:
+		return http.StatusGatewayTimeout, "request aborted: " + err.Error()
+	}
+}
+
+// submit enqueues fn and waits for it to finish or for ctx to die. It
+// returns nil only when fn ran to completion. A full queue fails fast
+// with errQueueFull — bounded memory is the contract, not unbounded
+// queueing.
 func (s *Server) submit(ctx context.Context, fn func(context.Context)) error {
 	j := &job{ctx: ctx, fn: fn, done: make(chan struct{})}
 	s.drainMu.RLock()
@@ -359,22 +394,15 @@ func (s *Server) submit(ctx context.Context, fn func(context.Context)) error {
 	}
 	select {
 	case <-j.done:
+		if !j.ran {
+			return ctx.Err() // skipped: the context died while queued
+		}
 		return nil
 	case <-ctx.Done():
 		// The job stays queued; its run() sees the dead context and
 		// skips the solve. The handler answers 504 now.
 		return ctx.Err()
 	}
-}
-
-// requestContext derives the per-request deadline: timeout_ms when
-// given (capped at maxTimeout), defaultTimeout otherwise.
-func (s *Server) requestContext(r *http.Request, timeoutMS int) (context.Context, context.CancelFunc) {
-	d := defaultTimeout
-	if timeoutMS > 0 {
-		d = min(time.Duration(timeoutMS)*time.Millisecond, maxTimeout)
-	}
-	return context.WithTimeout(r.Context(), d)
 }
 
 // instrument wraps a compute handler with the request counter, the
@@ -394,11 +422,12 @@ func (s *Server) instrument(counter *obs.Counter, h http.HandlerFunc) http.Handl
 	}
 }
 
-func writeJSON(w http.ResponseWriter, status int, v any) {
+// WriteJSON writes v as a JSON response with no error bookkeeping:
+// serve's success bodies and the fleet's admin endpoints use it.
+func WriteJSON(w http.ResponseWriter, status int, v any) {
 	body, err := json.Marshal(v)
 	if err != nil {
-		writeError(w, http.StatusInternalServerError, err.Error())
-		return
+		status, body = http.StatusInternalServerError, errorBody(err.Error())
 	}
 	writeBody(w, status, contentTypeJSON, body)
 }
@@ -462,9 +491,10 @@ func errorBody(msg string) []byte {
 	return body
 }
 
-// decode parses a JSON request body strictly enough to catch malformed
-// payloads (bad JSON, trailing garbage).
-func decode(r *http.Request, v any) error {
+// DecodeJSON parses a JSON request body strictly enough to catch
+// malformed payloads (bad JSON, trailing garbage). The fleet's admin
+// endpoints decode through it too.
+func DecodeJSON(r *http.Request, v any) error {
 	dec := json.NewDecoder(r.Body)
 	if err := dec.Decode(v); err != nil {
 		return fmt.Errorf("bad JSON: %v", err)
@@ -475,18 +505,24 @@ func decode(r *http.Request, v any) error {
 	return nil
 }
 
-// submitErrToStatus maps a submit failure onto its response.
-func submitErrToStatus(err error) (int, string) {
-	switch {
-	case errors.Is(err, errQueueFull):
-		return http.StatusTooManyRequests, "work queue full, retry later"
-	case errors.Is(err, errDraining):
-		return http.StatusServiceUnavailable, "server draining"
-	case errors.Is(err, context.DeadlineExceeded):
-		return http.StatusGatewayTimeout, "request deadline exceeded"
-	default:
-		return http.StatusGatewayTimeout, "request aborted: " + err.Error()
+// decodeBody parses a request body into v: a binary frame through
+// decodeBinary when Content-Type names ContentTypeBinary (counted in
+// serve_binary_total), JSON otherwise.
+func decodeBody[T any](r *http.Request, v *T, decodeBinary func([]byte) (*T, error)) error {
+	if mediaType(r.Header.Get("Content-Type")) != ContentTypeBinary {
+		return DecodeJSON(r, v)
 	}
+	obsBinary.Inc()
+	data, err := io.ReadAll(r.Body)
+	if err != nil {
+		return fmt.Errorf("read body: %v", err)
+	}
+	dec, err := decodeBinary(data)
+	if err != nil {
+		return err
+	}
+	*v = *dec
+	return nil
 }
 
 // binaryKeySalt separates the binary-response cache/flight keyspace
@@ -504,20 +540,7 @@ const binaryKeySalt = 0x9e3779b97f4a7c15
 // naming it selects a binary response frame (errors stay JSON).
 func (s *Server) handleInfer(w http.ResponseWriter, r *http.Request) {
 	var req InferRequest
-	if mediaType(r.Header.Get("Content-Type")) == ContentTypeBinary {
-		obsBinary.Inc()
-		data, err := io.ReadAll(r.Body)
-		if err != nil {
-			writeError(w, http.StatusBadRequest, "read body: "+err.Error())
-			return
-		}
-		dec, err := DecodeInferRequest(data)
-		if err != nil {
-			writeError(w, http.StatusBadRequest, err.Error())
-			return
-		}
-		req = *dec
-	} else if err := decode(r, &req); err != nil {
+	if err := decodeBody(r, &req, DecodeInferRequest); err != nil {
 		writeError(w, http.StatusBadRequest, err.Error())
 		return
 	}
@@ -576,13 +599,12 @@ func (s *Server) handleInfer(w http.ResponseWriter, r *http.Request) {
 	}
 	w.Header().Set("X-Blu-Cache", "miss")
 
-	ctx, cancel := s.requestContext(r, req.TimeoutMS)
-	defer cancel()
-
 	f, leader := s.flights.join(key)
 	if !leader {
 		// Coalesced: wait for the leader's published result. The salted
 		// key guarantees the leader encoded with this request's codec.
+		ctx, cancel := requestContext(r, req.TimeoutMS)
+		defer cancel()
 		select {
 		case <-f.done:
 			writeResult(w, f.status, ctFor(f.status), f.body)
@@ -594,23 +616,18 @@ func (s *Server) handleInfer(w http.ResponseWriter, r *http.Request) {
 
 	var res *blueprint.InferResult
 	var inferErr error
-	status, body := http.StatusOK, []byte(nil)
-	if err := s.submit(ctx, func(ctx context.Context) {
+	var body []byte
+	status, msg := s.compute(r, req.TimeoutMS, func(ctx context.Context) {
 		res, inferErr = blueprint.InferContext(ctx, m, opts)
-	}); err != nil {
-		st, msg := submitErrToStatus(err)
-		status, body = st, errorBody(msg)
-	} else if inferErr != nil {
-		switch {
-		case errors.Is(inferErr, blueprint.ErrAborted):
-			status, body = http.StatusGatewayTimeout, errorBody("inference aborted: deadline exceeded")
-		default:
-			status, body = http.StatusUnprocessableEntity, errorBody(inferErr.Error())
-		}
-	} else if res == nil {
-		// The job was skipped because the context died while queued.
-		status, body = http.StatusGatewayTimeout, errorBody("request deadline exceeded")
-	} else {
+	})
+	switch {
+	case status != http.StatusOK:
+		body = errorBody(msg)
+	case errors.Is(inferErr, blueprint.ErrAborted):
+		status, body = http.StatusGatewayTimeout, errorBody("inference aborted: deadline exceeded")
+	case inferErr != nil:
+		status, body = http.StatusUnprocessableEntity, errorBody(inferErr.Error())
+	default:
 		resp := InferResponse{
 			Topology:     TopologyToWire(res.Topology),
 			Violation:    res.Violation,
@@ -648,7 +665,7 @@ func (s *Server) handleInfer(w http.ResponseWriter, r *http.Request) {
 // the blueprint's cached joint tables.
 func (s *Server) handleJoint(w http.ResponseWriter, r *http.Request) {
 	var req JointRequest
-	if err := decode(r, &req); err != nil {
+	if err := DecodeJSON(r, &req); err != nil {
 		writeError(w, http.StatusBadRequest, err.Error())
 		return
 	}
@@ -682,11 +699,8 @@ func (s *Server) handleJoint(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	ctx, cancel := s.requestContext(r, req.TimeoutMS)
-	defer cancel()
 	var resp JointResponse
-	ran := false
-	if err := s.submit(ctx, func(context.Context) {
+	if st, msg := s.compute(r, req.TimeoutMS, func(context.Context) {
 		key, tables := s.tables.acquire(topo)
 		defer s.tables.release(key, tables)
 		calc := tables.Calculator()
@@ -695,17 +709,11 @@ func (s *Server) handleJoint(w http.ResponseWriter, r *http.Request) {
 		for i := range resp.Marginals {
 			resp.Marginals[i] = calc.Marginal(i)
 		}
-		ran = true
-	}); err != nil {
-		st, msg := submitErrToStatus(err)
+	}); st != http.StatusOK {
 		writeError(w, st, msg)
 		return
 	}
-	if !ran {
-		writeError(w, http.StatusGatewayTimeout, "request deadline exceeded")
-		return
-	}
-	writeJSON(w, http.StatusOK, resp)
+	WriteJSON(w, http.StatusOK, resp)
 }
 
 // handleSchedule is POST /v1/schedule: topology + per-UE rates (and
@@ -713,7 +721,7 @@ func (s *Server) handleJoint(w http.ResponseWriter, r *http.Request) {
 // from the selected scheduler.
 func (s *Server) handleSchedule(w http.ResponseWriter, r *http.Request) {
 	var req ScheduleRequest
-	if err := decode(r, &req); err != nil {
+	if err := DecodeJSON(r, &req); err != nil {
 		writeError(w, http.StatusBadRequest, err.Error())
 		return
 	}
@@ -768,24 +776,17 @@ func (s *Server) handleSchedule(w http.ResponseWriter, r *http.Request) {
 	// construction, the subframe itself — runs inside the job, so the
 	// queue and the worker count bound it and a shed request costs none
 	// of it.
-	ctx, cancel := s.requestContext(r, req.TimeoutMS)
-	defer cancel()
 	var schedule *lte.Schedule
 	var buildErr error
-	if err := s.submit(ctx, func(context.Context) {
+	if st, msg := s.compute(r, req.TimeoutMS, func(context.Context) {
 		schedule, buildErr = s.scheduleSubframe(flavor, topo, &req)
-	}); err != nil {
-		st, msg := submitErrToStatus(err)
+	}); st != http.StatusOK {
 		writeError(w, st, msg)
 		return
 	}
 	if buildErr != nil {
 		// Unreachable while the validation above covers sched.Env's own.
 		writeError(w, http.StatusInternalServerError, buildErr.Error())
-		return
-	}
-	if schedule == nil {
-		writeError(w, http.StatusGatewayTimeout, "request deadline exceeded")
 		return
 	}
 	resp := ScheduleResponse{
@@ -800,7 +801,7 @@ func (s *Server) handleSchedule(w http.ResponseWriter, r *http.Request) {
 			resp.RB[b] = ues
 		}
 	}
-	writeJSON(w, http.StatusOK, resp)
+	WriteJSON(w, http.StatusOK, resp)
 }
 
 // scheduleSubframe runs one validated /v1/schedule request on a pool
@@ -862,15 +863,15 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	draining := s.draining || s.closing
 	s.drainMu.RUnlock()
 	if draining {
-		writeJSON(w, http.StatusServiceUnavailable, HealthResponse{Status: "draining"})
+		WriteJSON(w, http.StatusServiceUnavailable, HealthResponse{Status: "draining"})
 		return
 	}
-	writeJSON(w, http.StatusOK, HealthResponse{Status: "ok"})
+	WriteJSON(w, http.StatusOK, HealthResponse{Status: "ok"})
 }
 
 // handleMetrics is GET /metrics: the obs registry snapshot as JSON —
 // the same schema manifests embed, so load generators can attach it to
 // their bench reports verbatim.
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, obs.Snap())
+	WriteJSON(w, http.StatusOK, obs.Snap())
 }

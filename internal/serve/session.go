@@ -105,23 +105,41 @@ func (st *sessionStore) getOrCreate(id string, n int) (s, evicted *session, err 
 	// no-evidence measurements), so the first observe can detect its own
 	// change and infer-by-session works even before any fold.
 	s.digest = digestMeasurements(s.win.Measurements())
-	el := st.ll.PushFront(s)
-	st.items[id] = el
-	for st.ll.Len() > st.max {
+	return s, st.pushFront(s), nil
+}
+
+// put installs s as the most recently used session, the way a handoff
+// import arrives: a live session with the same id is replaced, and
+// otherwise the least-recently-used session is evicted past the bound,
+// exactly as when an observe creates one. It returns the session put
+// displaced, whose minted cache keys the caller must drop.
+func (st *sessionStore) put(s *session) (displaced *session) {
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	if el, ok := st.items[s.id]; ok {
+		displaced = el.Value.(*session)
+		el.Value = s
+		st.ll.MoveToFront(el)
+		return displaced
+	}
+	return st.pushFront(s)
+}
+
+// pushFront adds s, whose id is not live, as the most recently used
+// session and evicts the least-recently-used one past the bound. With
+// max >= 1 the evicted session is never s itself, so the session
+// handed to the caller stays live. Callers hold st.mu.
+func (st *sessionStore) pushFront(s *session) (evicted *session) {
+	st.items[s.id] = st.ll.PushFront(s)
+	if st.ll.Len() > st.max {
 		back := st.ll.Back()
-		// Never evict the element just pushed: even with a mis-set bound
-		// the session returned to the caller must stay live, or its
-		// minted keys would be dropped while the observe folds into it.
-		if back == el {
-			break
-		}
 		st.ll.Remove(back)
 		evicted = back.Value.(*session)
 		delete(st.items, evicted.id)
 		obsSessionEvict.Inc()
 	}
 	obsSessions.Set(float64(st.ll.Len()))
-	return s, evicted, nil
+	return evicted
 }
 
 // remove detaches and returns the session for id, or nil. The caller
@@ -140,13 +158,6 @@ func (st *sessionStore) remove(id string) *session {
 	return el.Value.(*session)
 }
 
-// len returns the live session count.
-func (st *sessionStore) len() int {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	return st.ll.Len()
-}
-
 // export returns every live session, most recently used first — the
 // order snapshots record, so install rebuilds the same LRU order.
 func (st *sessionStore) export() []*session {
@@ -159,10 +170,10 @@ func (st *sessionStore) export() []*session {
 	return out
 }
 
-// install appends a restored session at the LRU tail: called in export
-// order (most recent first), it reproduces the saved recency. A full
-// registry or a duplicate id refuses the install (false) — restore
-// counts the record dropped (serve_session_restore_dropped_total)
+// install appends a snapshot-restored session at the LRU tail: called
+// in export order (most recent first), it reproduces the saved recency.
+// A full registry or a duplicate id refuses the install (false) —
+// restore counts the record dropped (serve_session_restore_dropped_total)
 // rather than evicting sessions it just restored, and the sessions
 // gauge is refreshed either way so the metric trace matches the
 // registry even when records are lost.

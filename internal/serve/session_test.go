@@ -6,6 +6,20 @@ import (
 	"blu/internal/access"
 )
 
+// len returns the live session count.
+func (st *sessionStore) len() int {
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	return st.ll.Len()
+}
+
+// len returns the result cache's entry count.
+func (c *lruCache) len() int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.ll.Len()
+}
+
 // TestSessionStoreDegenerateBoundNeverEvictsFresh is the regression
 // test for the getOrCreate self-eviction: with max=0 the eviction loop
 // used to push out the session it had just created, returning a caller-
