@@ -157,6 +157,239 @@ type deadExport struct {
 // declarations the rule above flags, sorted by name. A symbol is named
 // by its package directory, so cmd/bluload's run is bluload.run.
 func deadExports(root, mod string) ([]deadExport, error) {
+	l, err := loadModule(root, mod)
+	if err != nil {
+		return nil, err
+	}
+
+	uses := map[types.Object][]token.Pos{}
+	for _, p := range l.pkgs {
+		for id, obj := range p.info.Uses {
+			obj = origin(obj)
+			uses[obj] = append(uses[obj], id.Pos())
+		}
+	}
+	ifaces := l.interfaces()
+
+	var dead []deadExport
+	for path, p := range l.pkgs {
+		if l.under(path, "bench") {
+			continue
+		}
+		checkExported := l.under(path, "internal")
+		for _, f := range p.files {
+			for _, decl := range f.Decls {
+				for _, c := range declared(decl, p.info) {
+					if c.obj.Exported() && !checkExported || exempt(c.obj) ||
+						usedOutside(uses[c.obj], c.node) || satisfiesInterface(c.obj, ifaces) {
+						continue
+					}
+					name := pathpkg.Base(path) + "." + c.obj.Name()
+					if recv := receiverNamed(c.obj); recv != nil {
+						name = pathpkg.Base(path) + "." + recv.Obj().Name() + "." + c.obj.Name()
+					}
+					dead = append(dead, deadExport{name, l.fset.Position(c.obj.Pos())})
+				}
+			}
+		}
+	}
+	sort.Slice(dead, func(i, j int) bool { return dead[i].name < dead[j].name })
+	return dead, nil
+}
+
+// deadOptionAllowlist exempts option fields that only tests set today.
+// Each reason names the ROADMAP item or paper section that will set the
+// field from a program, or the safety-code rule that keeps it. An entry
+// whose field a program sets (or that is gone) fails TestNoDeadOptions.
+var deadOptionAllowlist = map[string]string{
+	"sim.Config.BurstSubframes":       "ROADMAP 11: eNB Cat-4 LBT aligns its bursts to this length",
+	"sim.Config.SharedMedium":         "ROADMAP 17(b): the access-probability oracle compares shared and independent media",
+	"sim.Config.MobilityAt":           "paper §3.5: mid-run mobility, driven by TestDriftDetectionTriggersRemeasurement",
+	"access.PlanOptions.MaxSubframes": "safety code: the plan budget TestBuildPlanOverBudgetErrorMessage checks",
+	"persist.Options.MaxPending":      "safety code: the inline-flush bound TestMaxPendingForcesInlineFlush checks",
+	"faults.ChurnConfig.Lifetime":     "ROADMAP 9: fault vocabulary for the simulation harness",
+	"faults.ChurnConfig.MovePeriod":   "ROADMAP 9: fault vocabulary for the simulation harness",
+	"faults.ChurnConfig.Duty":         "ROADMAP 9: fault vocabulary for the simulation harness",
+	"faults.ChurnConfig.Degree":       "ROADMAP 9: fault vocabulary for the simulation harness",
+	"faults.BurstConfig.Degree":       "ROADMAP 9: fault vocabulary for the simulation harness",
+}
+
+// TestNoDeadOptions fails when an exported field of an exported
+// internal/ struct whose name ends in Config or Options, or of
+// serve.InferOptionsWire, is written by no non-test file of the module
+// or of bench/. An option no program sets is a constant: give it its
+// default's value and delete the field. A write is a composite-literal
+// key, an assignment, or taking the field's address; a method named
+// withDefaults filling in a default does not count.
+func TestNoDeadOptions(t *testing.T) {
+	dead, err := deadOptions(".", "blu")
+	if err != nil {
+		t.Fatal(err)
+	}
+	flagged := map[string]bool{}
+	for _, d := range dead {
+		flagged[d.name] = true
+		if _, ok := deadOptionAllowlist[d.name]; !ok {
+			t.Errorf("%s: no non-test file sets %s: make it a constant, or allowlist it with a reason", d.pos, d.name)
+		}
+	}
+	for name := range deadOptionAllowlist {
+		if !flagged[name] {
+			t.Errorf("allowlist entry %s: a program sets the field or it is gone; remove the entry", name)
+		}
+	}
+}
+
+// TestDeadOptionsRule pins the option rule on a throwaway module: a
+// field set only by a test or only in withDefaults is flagged; fields
+// set by a keyed or positional literal, an assignment, an address-of, a
+// passthrough of another value, or from bench/ are not; unexported
+// fields and structs with other names are not checked.
+func TestDeadOptionsRule(t *testing.T) {
+	root := t.TempDir()
+	files := map[string]string{
+		"internal/a/a.go": `package a
+
+type Config struct {
+	Keyed, Assigned, Addressed, Passthrough int
+	TestOnly, DefaultOnly, BenchOnly        int
+	hidden                                  int
+}
+
+type PairOptions struct{ X, Y int }
+
+type Other struct{ Unset int }
+
+func (c Config) withDefaults() Config {
+	if c.DefaultOnly == 0 {
+		c.DefaultOnly = 3
+	}
+	return c
+}
+
+func New(n int) Config {
+	c := Config{Keyed: 1, Passthrough: n}
+	c.Assigned = 2
+	p := &c.Addressed
+	*p = 3
+	return c.withDefaults()
+}
+
+func Pair() PairOptions { return PairOptions{1, 2} }
+`,
+		"internal/a/a_test.go": "package a\n\nvar _ = Config{TestOnly: 1}\n",
+		"cmd/c/main.go": `package main
+
+import "m/internal/a"
+
+func main() { _ = a.New(1); _ = a.Pair(); _ = a.Other{} }
+`,
+		"bench/main.go": "package main\n\nimport \"m/internal/a\"\n\nfunc main() { _ = a.Config{BenchOnly: 1} }\n",
+	}
+	for name, src := range files {
+		path := filepath.Join(root, filepath.FromSlash(name))
+		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, []byte(src), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	dead, err := deadOptions(root, "m")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []string
+	for _, d := range dead {
+		got = append(got, d.name)
+	}
+	want := []string{"a.Config.DefaultOnly", "a.Config.TestOnly"}
+	if strings.Join(got, " ") != strings.Join(want, " ") {
+		t.Fatalf("flagged %v, want %v", got, want)
+	}
+}
+
+// deadOptions loads the module as deadExports does and returns the
+// option fields the rule above flags, sorted by name.
+func deadOptions(root, mod string) ([]deadExport, error) {
+	l, err := loadModule(root, mod)
+	if err != nil {
+		return nil, err
+	}
+
+	written := map[types.Object]bool{}
+	for _, p := range l.pkgs {
+		writeField := func(e ast.Expr) {
+			if sel, ok := ast.Unparen(e).(*ast.SelectorExpr); ok {
+				if v, ok := p.info.Uses[sel.Sel].(*types.Var); ok && v.IsField() {
+					written[origin(v)] = true
+				}
+			}
+		}
+		for _, f := range p.files {
+			ast.Inspect(f, func(n ast.Node) bool {
+				switch n := n.(type) {
+				case *ast.FuncDecl:
+					return n.Recv == nil || n.Name.Name != "withDefaults"
+				case *ast.CompositeLit:
+					st, ok := p.info.Types[n].Type.Underlying().(*types.Struct)
+					if !ok {
+						return true
+					}
+					for i, elt := range n.Elts {
+						if kv, ok := elt.(*ast.KeyValueExpr); ok {
+							written[origin(p.info.Uses[kv.Key.(*ast.Ident)])] = true
+						} else {
+							written[origin(st.Field(i))] = true
+						}
+					}
+				case *ast.AssignStmt:
+					for _, lhs := range n.Lhs {
+						writeField(lhs)
+					}
+				case *ast.IncDecStmt:
+					writeField(n.X)
+				case *ast.UnaryExpr:
+					if n.Op == token.AND {
+						writeField(n.X)
+					}
+				}
+				return true
+			})
+		}
+	}
+
+	var dead []deadExport
+	for path, p := range l.pkgs {
+		if !l.under(path, "internal") {
+			continue
+		}
+		scope := p.types.Scope()
+		for _, name := range scope.Names() {
+			tn, ok := scope.Lookup(name).(*types.TypeName)
+			checked := strings.HasSuffix(name, "Config") || strings.HasSuffix(name, "Options") ||
+				path == mod+"/internal/serve" && name == "InferOptionsWire"
+			if !ok || !tn.Exported() || !checked {
+				continue
+			}
+			st, ok := tn.Type().Underlying().(*types.Struct)
+			if !ok {
+				continue
+			}
+			for i := 0; i < st.NumFields(); i++ {
+				if fv := st.Field(i); fv.Exported() && !written[fv] {
+					dead = append(dead, deadExport{pathpkg.Base(path) + "." + name + "." + fv.Name(), l.fset.Position(fv.Pos())})
+				}
+			}
+		}
+	}
+	sort.Slice(dead, func(i, j int) bool { return dead[i].name < dead[j].name })
+	return dead, nil
+}
+
+// loadModule type-checks the non-test files of the module at root
+// (import path mod) and of its bench/ directory.
+func loadModule(root, mod string) (*moduleLoader, error) {
 	// The source importer type-checks the standard library from GOROOT;
 	// without cgo it needs no C toolchain.
 	build.Default.CgoEnabled = false
@@ -191,41 +424,7 @@ func deadExports(root, mod string) ([]deadExport, error) {
 			return nil, err
 		}
 	}
-
-	uses := map[types.Object][]token.Pos{}
-	for _, p := range l.pkgs {
-		for id, obj := range p.info.Uses {
-			obj = origin(obj)
-			uses[obj] = append(uses[obj], id.Pos())
-		}
-	}
-	ifaces := l.interfaces()
-
-	var dead []deadExport
-	under := func(path, dir string) bool { return path == mod+"/"+dir || strings.HasPrefix(path, mod+"/"+dir+"/") }
-	for path, p := range l.pkgs {
-		if under(path, "bench") {
-			continue
-		}
-		checkExported := under(path, "internal")
-		for _, f := range p.files {
-			for _, decl := range f.Decls {
-				for _, c := range declared(decl, p.info) {
-					if c.obj.Exported() && !checkExported || exempt(c.obj) ||
-						usedOutside(uses[c.obj], c.node) || satisfiesInterface(c.obj, ifaces) {
-						continue
-					}
-					name := pathpkg.Base(path) + "." + c.obj.Name()
-					if recv := receiverNamed(c.obj); recv != nil {
-						name = pathpkg.Base(path) + "." + recv.Obj().Name() + "." + c.obj.Name()
-					}
-					dead = append(dead, deadExport{name, l.fset.Position(c.obj.Pos())})
-				}
-			}
-		}
-	}
-	sort.Slice(dead, func(i, j int) bool { return dead[i].name < dead[j].name })
-	return dead, nil
+	return l, nil
 }
 
 type loadedPackage struct {
@@ -241,6 +440,11 @@ type moduleLoader struct {
 	fset      *token.FileSet
 	std       types.Importer
 	pkgs      map[string]*loadedPackage
+}
+
+// under reports whether import path is dir of the module or below it.
+func (l *moduleLoader) under(path, dir string) bool {
+	return path == l.mod+"/"+dir || strings.HasPrefix(path, l.mod+"/"+dir+"/")
 }
 
 func (l *moduleLoader) importPath(rel string) string {
@@ -275,8 +479,9 @@ func (l *moduleLoader) load(path string) (*loadedPackage, error) {
 		return nil, fmt.Errorf("%s: %w", path, err)
 	}
 	p := &loadedPackage{info: &types.Info{
-		Defs: map[*ast.Ident]types.Object{},
-		Uses: map[*ast.Ident]types.Object{},
+		Types: map[ast.Expr]types.TypeAndValue{},
+		Defs:  map[*ast.Ident]types.Object{},
+		Uses:  map[*ast.Ident]types.Object{},
 	}}
 	for _, name := range bp.GoFiles {
 		f, err := parser.ParseFile(l.fset, filepath.Join(dir, name), nil, parser.SkipObjectResolution)

@@ -30,11 +30,10 @@ var (
 )
 
 // InferOptions tunes the deterministic topology-inference algorithm of
-// Section 3.4.2. The zero value selects sensible defaults.
+// Section 3.4.2. The zero value selects sensible defaults. The per-start
+// budgets that scale with the client count N are fixed: maxIterations,
+// maxHTs and stallLimit.
 type InferOptions struct {
-	// MaxIterations bounds the constraint-repair iterations per start
-	// (default scales with the N² constraint count).
-	MaxIterations int
 	// Tolerance is the per-constraint violation (in the −log domain)
 	// below which a constraint counts as satisfied; it absorbs sampling
 	// noise in the measured distributions (default 0.02).
@@ -44,13 +43,6 @@ type InferOptions struct {
 	RandomStarts int
 	// Seed drives the random starts; runs are deterministic per seed.
 	Seed uint64
-	// MaxHTs caps the hidden terminals a candidate topology may use
-	// (default 4·N) to keep the system from degenerating into one
-	// terminal per constraint.
-	MaxHTs int
-	// StallLimit ends a start after this many iterations without
-	// improving that start's best violation (default 30 + 2N).
-	StallLimit int
 	// Perturbations is the number of iterated-local-search rounds run
 	// from each structured start's best topology (default 4): the best
 	// state is randomly perturbed (terminal removed, split, or merged)
@@ -88,11 +80,7 @@ type InferOptions struct {
 	IterationHook func()
 }
 
-func (o InferOptions) withDefaults(n int) InferOptions {
-	if o.MaxIterations <= 0 {
-		// The constraint count grows as N², so the repair budget must too.
-		o.MaxIterations = 400 + 20*n*n
-	}
+func (o InferOptions) withDefaults() InferOptions {
 	if o.Tolerance <= 0 {
 		o.Tolerance = 0.02
 	}
@@ -102,20 +90,23 @@ func (o InferOptions) withDefaults(n int) InferOptions {
 		// matching the paper's multi-start requirement.
 		o.RandomStarts = 8
 	}
-	if o.MaxHTs <= 0 {
-		o.MaxHTs = 4 * n
-		if o.MaxHTs < 8 {
-			o.MaxHTs = 8
-		}
-	}
-	if o.StallLimit <= 0 {
-		o.StallLimit = 30 + 2*n
-	}
 	if o.Perturbations <= 0 {
 		o.Perturbations = 4
 	}
 	return o
 }
+
+// maxIterations bounds the constraint-repair iterations per start. The
+// constraint count grows as N², so the repair budget does too.
+func maxIterations(n int) int { return 400 + 20*n*n }
+
+// maxHTs caps the hidden terminals a candidate topology may use, which
+// keeps the system from degenerating into one terminal per constraint.
+func maxHTs(n int) int { return max(8, 4*n) }
+
+// stallLimit ends a start after this many iterations without improving
+// that start's best violation.
+func stallLimit(n int) int { return 30 + 2*n }
 
 // InferResult reports the outcome of topology inference.
 type InferResult struct {
@@ -189,7 +180,7 @@ func InferContext(ctx context.Context, m *Measurements, opts InferOptions) (*Inf
 	if m.N > MaxClients {
 		return nil, fmt.Errorf("%w: %d > %d", ErrTooManyClients, m.N, MaxClients)
 	}
-	opts = opts.withDefaults(m.N)
+	opts = opts.withDefaults()
 	target := m.Transform()
 	root := rng.New(opts.Seed)
 	structured := structuredStarts(target, opts)
@@ -879,7 +870,8 @@ type move struct {
 func (s *solverState) run(ctx context.Context, opts InferOptions) int {
 	stall := 0
 	iters := 0
-	for ; iters < opts.MaxIterations; iters++ {
+	budget, stallAt := maxIterations(s.n), stallLimit(s.n)
+	for ; iters < budget; iters++ {
 		if opts.IterationHook != nil {
 			opts.IterationHook()
 			if ctx.Err() != nil {
@@ -903,7 +895,7 @@ func (s *solverState) run(ctx context.Context, opts InferOptions) int {
 			stall = 0
 		} else {
 			stall++
-			if stall >= opts.StallLimit {
+			if stall >= stallAt {
 				break
 			}
 		}
@@ -1054,7 +1046,7 @@ func (s *solverState) bestMove(cs ClientSet, opts InferOptions) (move, bool) {
 				k: k, newQ: h.Q, newC: u})
 		}
 		// (c) a new hidden terminal supplying exactly the deficit.
-		if len(s.hts) < opts.MaxHTs && need <= maxQ {
+		if len(s.hts) < maxHTs(s.n) && need <= maxQ {
 			p.consider(move{delta: s.deltaQChange(cs, 0, need),
 				addHT: true, k: -1, newQ: need, newC: cs})
 		}
@@ -1152,7 +1144,8 @@ func cliqueStart(t *Transformed, opts InferOptions) startTopo {
 	}
 
 	var start startTopo
-	for len(start) < opts.MaxHTs {
+	limit := maxHTs(n)
+	for len(start) < limit {
 		// Heaviest remaining pair seeds the clique.
 		bi, bj, best := -1, -1, opts.Tolerance
 		for i := 0; i < n; i++ {
@@ -1205,7 +1198,7 @@ func cliqueStart(t *Transformed, opts InferOptions) startTopo {
 		start = append(start, ht{Q: q, clients: in})
 	}
 	// Residual individual-only interference: single-client terminals.
-	for i := 0; i < n && len(start) < opts.MaxHTs; i++ {
+	for i := 0; i < n && len(start) < limit; i++ {
 		if RI[i] > opts.Tolerance {
 			start = append(start, ht{Q: RI[i], clients: NewClientSet(i)})
 		}
@@ -1288,7 +1281,7 @@ func randomStart(t *Transformed, opts InferOptions, r *rng.Source) startTopo {
 	if len(active) == 0 {
 		return nil
 	}
-	h := 1 + r.Intn(min(2*len(active), opts.MaxHTs))
+	h := 1 + r.Intn(min(2*len(active), maxHTs(t.N)))
 	start := make(startTopo, 0, h)
 	for k := 0; k < h; k++ {
 		var set ClientSet

@@ -199,7 +199,7 @@ func TestDeltaSpecializationsExact(t *testing.T) {
 	for _, tc := range traceGrid() {
 		tc.m.Clamp(1e-6)
 		target := tc.m.Transform()
-		opts := InferOptions{}.withDefaults(target.N)
+		opts := InferOptions{}.withDefaults()
 		for _, start := range structuredStarts(target, opts) {
 			if len(start) == 0 {
 				continue

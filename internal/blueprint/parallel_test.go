@@ -163,15 +163,6 @@ func TestInferOptionsDefaults(t *testing.T) {
 			if o.Tolerance != 0.02 {
 				t.Errorf("Tolerance = %v, want 0.02", o.Tolerance)
 			}
-			if o.MaxIterations != 400+20*n*n {
-				t.Errorf("MaxIterations = %d, want %d", o.MaxIterations, 400+20*n*n)
-			}
-			if o.MaxHTs != 4*n {
-				t.Errorf("MaxHTs = %d, want %d", o.MaxHTs, 4*n)
-			}
-			if o.StallLimit != 30+2*n {
-				t.Errorf("StallLimit = %d, want %d", o.StallLimit, 30+2*n)
-			}
 			if o.Perturbations != 4 {
 				t.Errorf("Perturbations = %d, want 4", o.Perturbations)
 			}
@@ -186,8 +177,8 @@ func TestInferOptionsDefaults(t *testing.T) {
 				t.Errorf("RandomStarts = %d, want 5", o.RandomStarts)
 			}
 		}},
-		{"explicit values kept", InferOptions{MaxIterations: 10, Tolerance: 0.5, MaxHTs: 3, StallLimit: 2, Perturbations: 1}, func(t *testing.T, o InferOptions) {
-			if o.MaxIterations != 10 || o.Tolerance != 0.5 || o.MaxHTs != 3 || o.StallLimit != 2 || o.Perturbations != 1 {
+		{"explicit values kept", InferOptions{Tolerance: 0.5, Perturbations: 1}, func(t *testing.T, o InferOptions) {
+			if o.Tolerance != 0.5 || o.Perturbations != 1 {
 				t.Errorf("explicit options rewritten: %+v", o)
 			}
 		}},
@@ -199,12 +190,15 @@ func TestInferOptionsDefaults(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			tc.want(t, tc.in.withDefaults(n))
+			tc.want(t, tc.in.withDefaults())
 		})
 	}
-	// Small n floors MaxHTs at 8.
-	if o := (InferOptions{}).withDefaults(1); o.MaxHTs != 8 {
-		t.Errorf("MaxHTs floor = %d, want 8", o.MaxHTs)
+	// The N-derived budgets, with maxHTs floored at 8 for small N.
+	if got := [3]int{maxIterations(n), maxHTs(n), stallLimit(n)}; got != [3]int{400 + 20*n*n, 4 * n, 30 + 2*n} {
+		t.Errorf("budgets at n=%d: %v", n, got)
+	}
+	if got := maxHTs(1); got != 8 {
+		t.Errorf("maxHTs floor = %d, want 8", got)
 	}
 }
 

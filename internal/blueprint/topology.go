@@ -50,7 +50,7 @@ func (t *Topology) Validate() error {
 	}
 	full := fullSet(t.N)
 	for k, ht := range t.HTs {
-		if ht.Q < 0 || ht.Q >= 1 {
+		if !(ht.Q >= 0 && ht.Q < 1) { // written so NaN fails too
 			return fmt.Errorf("blueprint: HT %d has q=%v outside [0,1)", k, ht.Q)
 		}
 		if ht.Clients.Empty() {

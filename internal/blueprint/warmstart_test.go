@@ -138,7 +138,7 @@ func TestWarmStartConvergedSkipsFanOut(t *testing.T) {
 	if !warm.Converged {
 		t.Fatalf("warm re-inference on identical measurements did not converge")
 	}
-	opts := InferOptions{}.withDefaults(truth.N)
+	opts := InferOptions{}.withDefaults()
 	coldTasks := 4 + opts.RandomStarts // structured + random starts at minimum
 	if warm.Starts >= coldTasks {
 		t.Errorf("warm Starts = %d, want < %d (fan-out should be skipped)", warm.Starts, coldTasks)

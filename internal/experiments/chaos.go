@@ -70,7 +70,7 @@ func Chaos(opts Options) (*Table, error) {
 		if err != nil {
 			return err
 		}
-		rep, err := sys.RunContext(opts.ctx())
+		rep, err := sys.Run()
 		if err != nil {
 			return err
 		}

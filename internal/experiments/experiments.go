@@ -31,10 +31,6 @@ type Options struct {
 	// derived from (Seed, trial index), so the produced tables are
 	// identical at every setting.
 	Parallelism int
-	// Context, when non-nil, cancels in-flight trials when it fires
-	// (nil = background). Tables are only returned from uncancelled
-	// runs, so cancellation cannot produce a partially filled table.
-	Context context.Context
 	// Faults selects the fault scenarios the chaos experiment injects,
 	// as a comma-separated list of internal/faults preset names (empty =
 	// all presets). Other experiments ignore it.
@@ -51,27 +47,13 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-// ctx returns the run's context (background when unset).
-func (o Options) ctx() context.Context {
-	if o.Context != nil {
-		return o.Context
-	}
-	return context.Background()
-}
-
 // forEachTrial fans a figure's n independent trials out over the
 // configured parallelism. fn(i) must write only result slots owned by
 // trial i and draw randomness only from streams derived from
 // (Seed, i), which keeps every table byte-identical to the sequential
 // run.
 func (o Options) forEachTrial(n int, fn func(i int) error) error {
-	if err := parallel.ForEach(o.ctx(), o.Parallelism, n, fn); err != nil {
-		return err
-	}
-	// ForEach's inline path can return nil after the final trial even if
-	// the context fired mid-task; a fired context must never yield a
-	// table built from possibly-truncated trials.
-	return o.ctx().Err()
+	return parallel.ForEach(context.Background(), o.Parallelism, n, fn)
 }
 
 // scaled returns n scaled down, with a floor.

@@ -148,7 +148,7 @@ func (l *Local) Drain(ctx context.Context) error {
 // calling this with the same arguments agrees on cell membership
 // without any shared files.
 func DefaultDirectory(cells int, seed uint64) (Directory, error) {
-	ms, err := topology.NewMultiScenario(topology.MultiConfig{Cells: cells}, fleetRNG(seed))
+	ms, err := topology.NewMultiScenario(cells, fleetRNG(seed))
 	if err != nil {
 		return Directory{}, err
 	}

@@ -21,14 +21,15 @@ import (
 	"blu/internal/wifi"
 )
 
+// nodeSteps are the paper's UE/WiFi-node counts; topology i of a batch
+// has nodeSteps[i mod 5] of each.
+var nodeSteps = [...]int{5, 10, 15, 20, 25}
+
 // BatchConfig parameterizes a topology batch. Inference runs with the
 // blueprint defaults.
 type BatchConfig struct {
 	// Topologies is the number of random topologies (paper: 300).
 	Topologies int
-	// NodeSteps are the UE/WiFi-node counts to cycle through
-	// (paper: 5, 10, 15, 20, 25).
-	NodeSteps []int
 	// Subframes is the per-topology simulation horizon (default 4000).
 	Subframes int
 	// Seed drives all randomness.
@@ -42,9 +43,6 @@ type BatchConfig struct {
 func (c BatchConfig) withDefaults() BatchConfig {
 	if c.Topologies <= 0 {
 		c.Topologies = 300
-	}
-	if len(c.NodeSteps) == 0 {
-		c.NodeSteps = []int{5, 10, 15, 20, 25}
 	}
 	if c.Subframes <= 0 {
 		c.Subframes = 4000
@@ -87,7 +85,7 @@ func runOne(cfg BatchConfig, idx int) (TopologyResult, error) {
 	// whose seeds differ by a multiple of the stride replay each other's
 	// topology streams shifted by an index.
 	r := rng.New(cfg.Seed).SplitIndex("topology", idx)
-	nodes := cfg.NodeSteps[idx%len(cfg.NodeSteps)]
+	nodes := nodeSteps[idx%len(nodeSteps)]
 
 	sc, err := topology.NewScenario(topology.Config{
 		Floor:       floorFor(nodes),

@@ -12,15 +12,14 @@ import (
 
 func TestRunBatchSmall(t *testing.T) {
 	results, err := RunBatch(BatchConfig{
-		Topologies: 10,
-		NodeSteps:  []int{5, 10},
+		Topologies: 2,
 		Subframes:  6000,
 		Seed:       4,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(results) != 10 {
+	if len(results) != 2 {
 		t.Fatalf("got %d results", len(results))
 	}
 	var accs []float64
@@ -43,7 +42,7 @@ func TestRunBatchSmall(t *testing.T) {
 }
 
 func TestRunBatchDeterministic(t *testing.T) {
-	cfg := BatchConfig{Topologies: 4, NodeSteps: []int{5}, Subframes: 3000, Seed: 8}
+	cfg := BatchConfig{Topologies: 2, Subframes: 3000, Seed: 8}
 	a, err := RunBatch(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -64,7 +63,7 @@ func TestRunBatchDeterministic(t *testing.T) {
 // (Seed, index) and lands in its batch-order slot, so the worker count
 // only changes wall-clock time.
 func TestRunBatchWorkersDeterministic(t *testing.T) {
-	base := BatchConfig{Topologies: 6, NodeSteps: []int{5, 10}, Subframes: 2000, Seed: 15}
+	base := BatchConfig{Topologies: 3, Subframes: 2000, Seed: 15}
 	seqCfg := base
 	seqCfg.Workers = 1
 	seq, err := RunBatch(seqCfg)
@@ -118,30 +117,26 @@ func TestMeasureFromMasksConsistent(t *testing.T) {
 func TestRunBatchSeedStrideIndependence(t *testing.T) {
 	// Regression: per-topology RNGs used to be seeded additively as
 	// cfg.Seed + idx*0x9E3779B97F4A7C15, so a batch whose seed differs by
-	// one stride replayed the other batch's topology stream shifted by an
-	// index: b[idx] under seed S+stride equaled a[idx+1] under seed S.
+	// k strides replayed the other batch's topology stream shifted by k
+	// indices: b[idx] under seed S+k·stride equaled a[idx+k] under seed S.
+	// k is one node-step cycle, so b[0] and a[k] have the same size.
 	const stride = 0x9E3779B97F4A7C15
-	cfg := BatchConfig{Topologies: 3, NodeSteps: []int{5}, Subframes: 2000, Seed: 42}
+	k := len(nodeSteps)
+	cfg := BatchConfig{Topologies: k + 1, Subframes: 2000, Seed: 42}
 	a, err := RunBatch(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg.Seed += stride
+	cfg.Seed += uint64(k) * stride
+	cfg.Topologies = 1
 	b, err := RunBatch(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	shifted := 0
-	for i := 0; i+1 < len(a); i++ {
-		want := a[i+1]
-		got := b[i]
-		got.Index, want.Index = 0, 0
-		if reflect.DeepEqual(got, want) {
-			shifted++
-		}
-	}
-	if shifted == len(a)-1 {
-		t.Fatal("seed+stride batch replays the base batch's topology stream shifted by one index")
+	got, want := b[0], a[k]
+	got.Index, want.Index = 0, 0
+	if reflect.DeepEqual(got, want) {
+		t.Fatalf("seed+%d·stride batch replays the base batch's topology stream shifted by %d indices", k, k)
 	}
 }
 

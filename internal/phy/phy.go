@@ -24,14 +24,18 @@ const (
 	// sensing) threshold between WiFi nodes.
 	WiFiCSThresholdDBm = -85.0
 	// EnergyDetectThresholdDBm is the LAA/WiFi cross-technology energy
-	// detection threshold (the stricter −70 dBm end is the default; the
-	// paper quotes [−70, −65] dBm).
+	// detection threshold at UEs and the eNB (the stricter −70 dBm end;
+	// the paper quotes [−70, −65] dBm).
 	EnergyDetectThresholdDBm = -70.0
 
 	// DefaultTxPowerDBm is the transmit power used by WiFi stations and
 	// LTE UEs in the enterprise scenarios (typical indoor 100 mW class,
 	// backed off to 15 dBm as in dense enterprise deployments).
 	DefaultTxPowerDBm = 15.0
+
+	// ShadowSigmaDB is the log-normal shadowing deviation of generated
+	// enterprise floors.
+	ShadowSigmaDB = 6.0
 
 	// NoiseFloorDBm is the thermal noise floor over 10 MHz
 	// (−174 dBm/Hz + 10·log10(10e6) ≈ −104 dBm) plus a 6 dB noise figure.
@@ -106,26 +110,16 @@ func (s *Shadowing) LinkLossDB(a, b int, d float64) float64 {
 // link with the given loss.
 func RxPowerDBm(txDBm, lossDB float64) float64 { return txDBm - lossDB }
 
-// Fading models per-subframe block fading as a multiplicative SNR factor.
-type Fading interface {
-	// Gain returns a linear power gain for one coherence block.
-	Gain(r *rng.Source) float64
-}
-
-// RayleighFading is unit-mean Rayleigh (exponential power) block fading.
-type RayleighFading struct{}
-
-// Gain implements Fading: an Exp(1) power gain.
-func (RayleighFading) Gain(r *rng.Source) float64 { return r.ExpFloat64() }
-
-// RicianFading has a dominant LOS component with the given K-factor
-// (linear). Larger K approaches a static channel; K=0 is Rayleigh.
+// RicianFading is per-subframe block fading, a multiplicative SNR factor,
+// with a dominant LOS component of the given K-factor (linear). Larger
+// K approaches a static channel; K=0 is Rayleigh.
 type RicianFading struct {
 	K float64
 }
 
-// Gain implements Fading using a two-path approximation: the power of a
-// complex Gaussian around a fixed LOS phasor, normalized to unit mean.
+// Gain returns a linear power gain for one coherence block using a
+// two-path approximation: the power of a complex Gaussian around a
+// fixed LOS phasor, normalized to unit mean.
 func (f RicianFading) Gain(r *rng.Source) float64 {
 	k := f.K
 	if k < 0 {
@@ -138,9 +132,3 @@ func (f RicianFading) Gain(r *rng.Source) float64 {
 	q := sigma * r.NormFloat64()
 	return i*i + q*q
 }
-
-// NoFading is a static channel with unit gain.
-type NoFading struct{}
-
-// Gain implements Fading.
-func (NoFading) Gain(*rng.Source) float64 { return 1 }

@@ -126,6 +126,25 @@ func TestMUMIMOStreamSINR(t *testing.T) {
 	}
 }
 
+// Fading models per-subframe block fading as a multiplicative SNR
+// factor; the simulator uses RicianFading, and the others are the
+// references it is checked against.
+type Fading interface {
+	// Gain returns a linear power gain for one coherence block.
+	Gain(r *rng.Source) float64
+}
+
+// RayleighFading is unit-mean Rayleigh (exponential power) block fading.
+type RayleighFading struct{}
+
+// Gain is an Exp(1) power gain.
+func (RayleighFading) Gain(r *rng.Source) float64 { return r.ExpFloat64() }
+
+// NoFading is a static channel with unit gain.
+type NoFading struct{}
+
+func (NoFading) Gain(*rng.Source) float64 { return 1 }
+
 func TestFadingMeansUnit(t *testing.T) {
 	r := rng.New(5)
 	for _, f := range []Fading{RayleighFading{}, RicianFading{K: 6}, NoFading{}} {

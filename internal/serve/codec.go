@@ -22,9 +22,12 @@
 //	n × f64 p[i]
 //	u16 pairCount,   pairCount   × (u8 i, u8 j, f64 p)
 //	u16 tripleCount, tripleCount × (u8 i, u8 j, u8 k, f64 p)
-//	i32 maxIterations, f64 tolerance, i32 randomStarts, u64 seed,
-//	i32 maxHTs, i32 stallLimit, i32 perturbations
-//	i32 timeoutMS
+//	u64 seed, i32 timeoutMS
+//
+// An older infer request carried 40 bytes of solver options where seed
+// and timeoutMS now take 12; such a frame still says version 1 and is
+// refused by the trailing-bytes check. The version stays 1 because the
+// WAL stores observe frames under it.
 //
 // Infer response payload:
 //
@@ -109,7 +112,7 @@ func (w *wireWriter) u64(v uint64)  { w.b = binary.LittleEndian.AppendUint64(w.b
 func (w *wireWriter) f64(v float64) { w.u64(math.Float64bits(v)) }
 
 // i32 encodes a Go int that must fit int32 (the wire width for counts
-// and option knobs).
+// and timeouts).
 func (w *wireWriter) i32(name string, v int) error {
 	if v < math.MinInt32 || v > math.MaxInt32 {
 		return fmt.Errorf("binary codec: %s=%d does not fit int32", name, v)
@@ -210,7 +213,7 @@ func openFrame(data []byte, wantKind byte) ([]byte, error) {
 
 // EncodeInferRequest renders req as one binary frame. It errors when a
 // value does not fit the wire (client index or N beyond a byte, more
-// than 65535 pairs/triples, an option beyond int32) rather than
+// than 65535 pairs/triples, a timeout beyond int32) rather than
 // truncating; semantically invalid but representable values pass, to
 // be rejected by ToMeasurements on the receiving side exactly like
 // their JSON spelling.
@@ -226,7 +229,7 @@ func EncodeInferRequest(req *InferRequest) ([]byte, error) {
 		return nil, fmt.Errorf("binary codec: %d pairs / %d triples do not fit the wire",
 			len(m.Pairs), len(m.Triples))
 	}
-	size := frameHeaderLen + 1 + 8*len(m.P) + 2 + 10*len(m.Pairs) + 2 + 11*len(m.Triples) + 40
+	size := frameHeaderLen + 1 + 8*len(m.P) + 2 + 10*len(m.Pairs) + 2 + 11*len(m.Triples) + 12
 	w := wireWriter{b: make([]byte, 0, size)}
 	var lenOff int
 	w.b, lenOff = appendFrameHeader(w.b, kindInferRequest)
@@ -261,24 +264,7 @@ func EncodeInferRequest(req *InferRequest) ([]byte, error) {
 		w.u8(byte(tr.K))
 		w.f64(tr.P)
 	}
-	o := req.Options
-	if err := w.i32("max_iterations", o.MaxIterations); err != nil {
-		return nil, err
-	}
-	w.f64(o.Tolerance)
-	if err := w.i32("random_starts", o.RandomStarts); err != nil {
-		return nil, err
-	}
-	w.u64(o.Seed)
-	if err := w.i32("max_hts", o.MaxHTs); err != nil {
-		return nil, err
-	}
-	if err := w.i32("stall_limit", o.StallLimit); err != nil {
-		return nil, err
-	}
-	if err := w.i32("perturbations", o.Perturbations); err != nil {
-		return nil, err
-	}
+	w.u64(req.Options.Seed)
 	if err := w.i32("timeout_ms", req.TimeoutMS); err != nil {
 		return nil, err
 	}
@@ -348,25 +334,7 @@ func DecodeInferRequest(data []byte) (*InferRequest, error) {
 			m.Triples[i] = TripleProb{I: int(a), J: int(b), K: int(c), P: p}
 		}
 	}
-	if req.Options.MaxIterations, err = r.i32(); err != nil {
-		return nil, err
-	}
-	if req.Options.Tolerance, err = r.f64(); err != nil {
-		return nil, err
-	}
-	if req.Options.RandomStarts, err = r.i32(); err != nil {
-		return nil, err
-	}
 	if req.Options.Seed, err = r.u64(); err != nil {
-		return nil, err
-	}
-	if req.Options.MaxHTs, err = r.i32(); err != nil {
-		return nil, err
-	}
-	if req.Options.StallLimit, err = r.i32(); err != nil {
-		return nil, err
-	}
-	if req.Options.Perturbations, err = r.i32(); err != nil {
 		return nil, err
 	}
 	if req.TimeoutMS, err = r.i32(); err != nil {

@@ -10,8 +10,8 @@ import (
 )
 
 // codecTestRequest is a representative infer request touching every
-// wire field: marginals, a full pair list, a triple, and non-default
-// options.
+// wire field: marginals, a full pair list, a triple, a seed and a
+// timeout.
 func codecTestRequest() *InferRequest {
 	return &InferRequest{
 		Measurements: MeasurementsWire{
@@ -23,15 +23,7 @@ func codecTestRequest() *InferRequest {
 			},
 			Triples: []TripleProb{{I: 0, J: 1, K: 2, P: 0.41}},
 		},
-		Options: InferOptionsWire{
-			MaxIterations: 500,
-			Tolerance:     0.015,
-			RandomStarts:  12,
-			Seed:          0xB1E0,
-			MaxHTs:        4,
-			StallLimit:    30,
-			Perturbations: 6,
-		},
+		Options:   InferOptionsWire{Seed: 0xB1E0},
 		TimeoutMS: 1500,
 	}
 }

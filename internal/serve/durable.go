@@ -386,6 +386,17 @@ func decodeSessionRecord(rec []byte) (*session, []cachedBody, error) {
 	if got := digestMeasurements(win.Measurements()); got != digest {
 		return nil, nil, fmt.Errorf("session %q restored digest %016x, recorded %016x", id, got, digest)
 	}
+	// The warm-start blueprint is outside input too (a handoff import):
+	// it must be a valid topology over the window's clients, or it would
+	// seed the solver and be served from /v1/fleet/blueprints as is.
+	if topo != nil {
+		if err := topo.Validate(); err != nil {
+			return nil, nil, fmt.Errorf("session %q warm seed: %w", id, err)
+		}
+		if topo.N != st.N {
+			return nil, nil, fmt.Errorf("session %q warm seed has n=%d, window n=%d", id, topo.N, st.N)
+		}
+	}
 	return &session{
 		id:       id,
 		win:      win,

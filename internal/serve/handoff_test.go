@@ -2,8 +2,11 @@ package serve
 
 import (
 	"bytes"
+	"math"
 	"strings"
 	"testing"
+
+	"blu/internal/blueprint"
 )
 
 // TestHandoffRoundTrip moves a warm session between two in-memory
@@ -158,6 +161,46 @@ func TestImportBadRecordKeepsLiveSession(t *testing.T) {
 		}
 		if got := probeDigest(t, ts.URL, "cell-a", 3); got != preDigest {
 			t.Fatalf("%s import: digest %s, want %s", name, got, preDigest)
+		}
+		body, hdr := sessionInfer(t, ts.URL, "cell-a")
+		if hdr != "hit" || !bytes.Equal(body, hitBody) {
+			t.Fatalf("%s import: infer header %q, byte-identical=%v", name, hdr, bytes.Equal(body, hitBody))
+		}
+	}
+}
+
+// TestImportRejectsInvalidWarmSeed is the regression for an unchecked
+// warm-start blueprint in a handed-off record: one with q = NaN, a
+// client outside the window, or an N other than the window's used to be
+// installed, and a NaN then made /v1/fleet/blueprints answer 500. The
+// record is otherwise intact (its digest gate passes), so the refusal
+// must come from validating the seed, and the gainer's live session and
+// its cached answer stay.
+func TestImportRejectsInvalidWarmSeed(t *testing.T) {
+	s, ts, _ := newDurableServer(t, Config{Workers: 2})
+	defer drainServer(t, s, ts)
+
+	postObserve(t, ts.URL, ObserveRequest{Session: "cell-a", N: 3, Observations: htObservations(40, 3), Seal: true})
+	sessionInfer(t, ts.URL, "cell-a")
+	sessionInfer(t, ts.URL, "cell-a")
+	hitBody, hdr := sessionInfer(t, ts.URL, "cell-a")
+	if hdr != "hit" {
+		t.Fatalf("warm-up infer not a hit (header %q)", hdr)
+	}
+	live := s.sessions.get("cell-a")
+	for name, seed := range map[string]*blueprint.Topology{
+		"nan-q":        {N: 3, HTs: []blueprint.HiddenTerminal{{Q: math.NaN(), Clients: blueprint.NewClientSet(0, 1)}}},
+		"client-range": {N: 3, HTs: []blueprint.HiddenTerminal{{Q: 0.3, Clients: blueprint.NewClientSet(0, 5)}}},
+		"n-mismatch":   {N: 4, HTs: []blueprint.HiddenTerminal{{Q: 0.3, Clients: blueprint.NewClientSet(0, 3)}}},
+	} {
+		rec := s.encodeSessionRecord(&session{
+			id: live.id, win: live.win, digest: live.digest, minted: live.minted, lastTopo: seed,
+		})
+		if err := s.ImportSessionRecord(rec); err == nil {
+			t.Fatalf("%s: record imported without error", name)
+		}
+		if s.sessions.get("cell-a") != live {
+			t.Fatalf("%s: refused import replaced the live session", name)
 		}
 		body, hdr := sessionInfer(t, ts.URL, "cell-a")
 		if hdr != "hit" || !bytes.Equal(body, hitBody) {

@@ -492,10 +492,13 @@ func errorBody(msg string) []byte {
 }
 
 // DecodeJSON parses a JSON request body strictly enough to catch
-// malformed payloads (bad JSON, trailing garbage). The fleet's admin
+// malformed payloads (bad JSON, trailing garbage) and fields the schema
+// does not have, so a client naming a retired or misspelled option is
+// told instead of silently getting the default. The fleet's admin
 // endpoints decode through it too.
 func DecodeJSON(r *http.Request, v any) error {
 	dec := json.NewDecoder(r.Body)
+	dec.DisallowUnknownFields()
 	if err := dec.Decode(v); err != nil {
 		return fmt.Errorf("bad JSON: %v", err)
 	}

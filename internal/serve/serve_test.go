@@ -3,8 +3,10 @@ package serve
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"encoding/json"
 	"fmt"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -92,6 +94,58 @@ func readAll(t *testing.T, resp *http.Response) []byte {
 		t.Fatalf("read body: %v", err)
 	}
 	return buf.Bytes()
+}
+
+// TestInferRefusesRetiredOptions is the regression for a one-request
+// crash: the wire used to carry the solver's budgets into the solver,
+// so "random_starts" = 2^62 made a pool worker panic in makeslice and
+// took the process down. The budgets are the server's now. Naming one
+// in JSON is a 400 that names it, a binary frame in the old 40-byte
+// options layout is a 400, and the server keeps answering.
+func TestInferRefusesRetiredOptions(t *testing.T) {
+	_, ts := newTestServer(t, Config{Workers: 2})
+
+	body := strings.Replace(string(inferBody(1)), `"options":{`, `"options":{"random_starts":4611686018427387904,`, 1)
+	resp := post(t, ts.URL+"/v1/infer", []byte(body))
+	if msg := readAll(t, resp); resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(msg), "random_starts") {
+		t.Fatalf("retired JSON option: status %d, body %s; want 400 naming random_starts", resp.StatusCode, msg)
+	}
+
+	var req InferRequest
+	if err := json.Unmarshal(inferBody(1), &req); err != nil {
+		t.Fatal(err)
+	}
+	frame, err := EncodeInferRequest(&req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Old layout: i32 maxIterations, f64 tolerance, i32 randomStarts,
+	// u64 seed, i32 maxHTs, i32 stallLimit, i32 perturbations, i32
+	// timeoutMS in place of today's u64 seed, i32 timeoutMS.
+	old := wireWriter{b: append([]byte(nil), frame[:len(frame)-12]...)}
+	old.u32(0)
+	old.f64(0)
+	old.u32(math.MaxInt32)
+	old.u64(1)
+	old.u32(0)
+	old.u32(0)
+	old.u32(0)
+	old.u32(0)
+	binary.LittleEndian.PutUint32(old.b[6:], uint32(len(old.b)-frameHeaderLen))
+	hreq, _ := http.NewRequest("POST", ts.URL+"/v1/infer", bytes.NewReader(old.b))
+	hreq.Header.Set("Content-Type", ContentTypeBinary)
+	resp, err = http.DefaultClient.Do(hreq)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if msg := readAll(t, resp); resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("old-layout binary frame: status %d, body %s; want 400", resp.StatusCode, msg)
+	}
+
+	resp = post(t, ts.URL+"/v1/infer", inferBody(1))
+	if msg := readAll(t, resp); resp.StatusCode != http.StatusOK {
+		t.Fatalf("infer after refusals: status %d, body %s", resp.StatusCode, msg)
+	}
 }
 
 func TestHandlerValidation(t *testing.T) {

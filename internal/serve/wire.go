@@ -93,32 +93,19 @@ func (w *MeasurementsWire) ToMeasurements() (*blueprint.Measurements, error) {
 	return m, nil
 }
 
-// InferOptionsWire is the subset of blueprint.InferOptions a client may
-// set. Parallelism is a server resource decision (solverParallelism)
-// and is excluded — inference results are byte-identical at every
-// parallelism anyway, so it cannot change a response.
+// InferOptionsWire is what a client may choose about a solve: only the
+// seed of its random starts. The solver's budget (tolerance, starts,
+// perturbations, iteration caps) is the server's, and Parallelism is a
+// server resource decision (solverParallelism) that cannot change a
+// response.
 type InferOptionsWire struct {
-	MaxIterations int     `json:"max_iterations,omitempty"`
-	Tolerance     float64 `json:"tolerance,omitempty"`
-	RandomStarts  int     `json:"random_starts,omitempty"`
-	Seed          uint64  `json:"seed,omitempty"`
-	MaxHTs        int     `json:"max_hts,omitempty"`
-	StallLimit    int     `json:"stall_limit,omitempty"`
-	Perturbations int     `json:"perturbations,omitempty"`
+	Seed uint64 `json:"seed,omitempty"`
 }
 
-// ToInferOptions maps the wire options onto blueprint.InferOptions
-// (zero fields keep the solver defaults).
+// ToInferOptions maps the wire options onto blueprint.InferOptions; every
+// other option keeps the solver default.
 func (w InferOptionsWire) ToInferOptions() blueprint.InferOptions {
-	return blueprint.InferOptions{
-		MaxIterations: w.MaxIterations,
-		Tolerance:     w.Tolerance,
-		RandomStarts:  w.RandomStarts,
-		Seed:          w.Seed,
-		MaxHTs:        w.MaxHTs,
-		StallLimit:    w.StallLimit,
-		Perturbations: w.Perturbations,
-	}
+	return blueprint.InferOptions{Seed: w.Seed}
 }
 
 // HTWire is one hidden terminal on the wire.
@@ -287,20 +274,14 @@ type HealthResponse struct {
 
 // digestInfer computes the canonical digest an infer request is keyed
 // by for coalescing and result caching: FNV-1a over the clamped
-// measurement content and every result-relevant solver option. Two
-// requests that canonicalize to the same measurements and options share
-// one solver run and one cache slot regardless of JSON formatting,
-// pair order, or timeout.
+// measurement content, the seed and the warm seed — the only request
+// inputs that reach the solver. Two requests that canonicalize to the
+// same measurements and seeds share one solver run and one cache slot
+// regardless of JSON formatting, pair order, or timeout.
 func digestInfer(m *blueprint.Measurements, o blueprint.InferOptions) uint64 {
 	d := newDigest()
 	d.measurements(m)
-	d.u(uint64(o.MaxIterations))
-	d.f(o.Tolerance)
-	d.u(uint64(o.RandomStarts))
 	d.u(o.Seed)
-	d.u(uint64(o.MaxHTs))
-	d.u(uint64(o.StallLimit))
-	d.u(uint64(o.Perturbations))
 	// A warm seed can change the inferred topology, so it is part of
 	// the result identity — two requests over identical measurements
 	// but different previous blueprints must not share a cache slot.

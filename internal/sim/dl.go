@@ -78,7 +78,7 @@ func (c *Cell) StepDL(sf int, schedule *lte.Schedule) []lte.RBResult {
 				continue
 			}
 			res.Outcomes[i] = lte.OutcomeSuccess
-			res.Bits[i] = c.bitsPerRBG * mcs.Efficiency
+			res.Bits[i] = bitsPerRBG * mcs.Efficiency
 		}
 		results[b] = res
 	}
@@ -87,67 +87,6 @@ func (c *Cell) StepDL(sf int, schedule *lte.Schedule) []lte.RBResult {
 
 // RunDL drives a scheduler over downlink subframes [from, to) and
 // aggregates metrics the same way Run does for the uplink.
-func RunDL(c *Cell, s interface {
-	Name() string
-	Schedule(sf int) *lte.Schedule
-	Observe(sf int, results []lte.RBResult)
-}, from, to int) *Metrics {
-	if from < 0 {
-		from = 0
-	}
-	if to > c.cfg.Subframes {
-		to = c.cfg.Subframes
-	}
-	m := &Metrics{
-		Scheduler: s.Name(),
-		BitsPerUE: make([]float64, c.numUE),
-		Outcomes:  make(map[lte.Outcome]int),
-	}
-	executed := 0
-	for sf := from; sf < to; sf++ {
-		schedule := s.Schedule(sf)
-		results := c.StepDL(sf, schedule)
-		if results == nil {
-			m.ENBDeferrals++
-			s.Observe(sf, nil)
-			m.Subframes++
-			continue
-		}
-		granted, utilized, streams, grantedDoF := 0, 0, 0, 0
-		for _, res := range results {
-			if len(res.Scheduled) == 0 {
-				continue
-			}
-			granted++
-			grantedDoF += c.cfg.M
-			if res.Utilized() {
-				utilized++
-			}
-			streams += res.DecodedStreams()
-			for i, ue := range res.Scheduled {
-				m.Outcomes[res.Outcomes[i]]++
-				m.BitsPerUE[ue] += res.Bits[i]
-				m.TotalBits += res.Bits[i]
-			}
-		}
-		m.RBUtilization += safeDiv(float64(utilized), float64(granted))
-		m.DoFUtilization += safeDiv(float64(streams), float64(grantedDoF))
-		if granted > 0 && utilized == granted {
-			m.FullyUtilizedSubframes++
-		}
-		s.Observe(sf, results)
-		m.Subframes++
-		executed++
-	}
-	if executed > 0 {
-		n := float64(executed)
-		m.RBUtilization /= n
-		m.DoFUtilization /= n
-		m.FullyUtilizedSubframes /= n
-	}
-	if m.Subframes > 0 {
-		m.ThroughputMbps = m.TotalBits / (float64(m.Subframes) * 1000)
-	}
-	m.JainFairness = jain(m.BitsPerUE)
-	return m
+func RunDL(c *Cell, s stepScheduler, from, to int) *Metrics {
+	return run(c, s, from, to, nil, c.StepDL)
 }

@@ -62,9 +62,24 @@ func (m *Metrics) GainOver(base *Metrics) float64 {
 // phase (Section 3.7).
 type Observer func(sf int, schedule *lte.Schedule, results []lte.RBResult)
 
-// Run drives scheduler s over subframes [from, to) of the cell and
-// returns the aggregated metrics. tap, if non-nil, sees every subframe.
+// Run drives scheduler s over uplink subframes [from, to) of the cell
+// and returns the aggregated metrics. tap, if non-nil, sees every
+// subframe.
 func Run(c *Cell, s sched.Scheduler, from, to int, tap Observer) *Metrics {
+	return run(c, s, from, to, tap, c.Step)
+}
+
+// stepScheduler is the part of a scheduler the subframe loop drives.
+type stepScheduler interface {
+	Name() string
+	Schedule(sf int) *lte.Schedule
+	Observe(sf int, results []lte.RBResult)
+}
+
+// run is the subframe loop behind Run and RunDL: schedule, execute the
+// subframe with step (nil results mean the eNB's own LBT deferred the
+// TxOP), feed the results back, and aggregate.
+func run(c *Cell, s stepScheduler, from, to int, tap Observer, step func(sf int, schedule *lte.Schedule) []lte.RBResult) *Metrics {
 	if from < 0 {
 		from = 0
 	}
@@ -79,7 +94,7 @@ func Run(c *Cell, s sched.Scheduler, from, to int, tap Observer) *Metrics {
 	executed := 0
 	for sf := from; sf < to; sf++ {
 		schedule := s.Schedule(sf)
-		results := c.Step(sf, schedule)
+		results := step(sf, schedule)
 		if results == nil {
 			m.ENBDeferrals++
 			s.Observe(sf, nil)

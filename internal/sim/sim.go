@@ -42,17 +42,11 @@ type Config struct {
 	M int
 	// K caps distinct UEs per subframe (default lte.DefaultK).
 	K int
-	// RBGs is the number of schedulable RB groups per subframe
-	// (default 10 groups of 5 RBs on the 10 MHz carrier).
-	RBGs int
 	// Subframes is the simulated uplink length (default 2000).
 	Subframes int
 	// BurstSubframes is how many subframes one CCA covers (the paper's
 	// testbed uses bursts of 3; default 1).
 	BurstSubframes int
-	// Fading is the per-UE per-subframe block fading (default Rician
-	// K=6, mild indoor fading).
-	Fading phy.Fading
 	// SharedMedium makes mutually-audible stations contend in DCF
 	// domains, producing correlated hidden-terminal activity.
 	SharedMedium bool
@@ -78,6 +72,19 @@ type Config struct {
 	Seed uint64
 }
 
+// numRBGs is the number of schedulable RB groups per subframe: 10
+// groups of 5 RBs on the 10 MHz carrier.
+const numRBGs = 10
+
+var (
+	// bitsPerRBG is the data REs one RB group carries (bits = REs ×
+	// efficiency).
+	bitsPerRBG = float64(phy.DataREsPerRB() * (phy.NumRB / numRBGs))
+	// fading is the per-UE per-subframe block fading: Rician K=6, mild
+	// indoor fading.
+	fading = phy.RicianFading{K: 6}
+)
+
 func (c Config) withDefaults() Config {
 	if c.M <= 0 {
 		c.M = 1
@@ -85,17 +92,11 @@ func (c Config) withDefaults() Config {
 	if c.K == 0 {
 		c.K = lte.DefaultK
 	}
-	if c.RBGs <= 0 {
-		c.RBGs = 10
-	}
 	if c.Subframes <= 0 {
 		c.Subframes = 2000
 	}
 	if c.BurstSubframes <= 0 {
 		c.BurstSubframes = 1
-	}
-	if c.Fading == nil {
-		c.Fading = phy.RicianFading{K: 6}
 	}
 	return c
 }
@@ -133,7 +134,6 @@ type Cell struct {
 
 	truth      *blueprint.Topology
 	truthAfter *blueprint.Topology
-	bitsPerRBG float64 // data REs per RB group (bits = REs × efficiency)
 
 	// inj is the instantiated fault timeline (nil when no faults are
 	// configured).
@@ -156,12 +156,6 @@ func New(cfg Config) (*Cell, error) {
 		scenario: cfg.Scenario,
 		numUE:    n,
 	}
-	rbPerGroup := phy.NumRB / cfg.RBGs
-	if rbPerGroup < 1 {
-		rbPerGroup = 1
-	}
-	c.bitsPerRBG = float64(phy.DataREsPerRB() * rbPerGroup)
-
 	root := rng.New(cfg.Seed)
 	c.buildChannel(root.Split("channel"))
 	c.buildActivity(root.Split("wifi"))
@@ -186,14 +180,14 @@ func (c *Cell) buildChannel(r *rng.Source) {
 	fade := r.Split("fade")
 	for ue := 0; ue < c.numUE; ue++ {
 		base := c.scenario.UplinkSNRdB(ue)
-		c.snrDB[ue] = make([]float64, cfg.RBGs)
-		for b := 0; b < cfg.RBGs; b++ {
+		c.snrDB[ue] = make([]float64, numRBGs)
+		for b := 0; b < numRBGs; b++ {
 			// Static frequency selectivity of ±3 dB across the band.
 			c.snrDB[ue][b] = base + 3*math.Sin(float64(b)*2.1+float64(ue)) + freq.NormFloat64()*0.5
 		}
 		c.fadeDB[ue] = make([]float64, cfg.Subframes)
 		for sf := 0; sf < cfg.Subframes; sf++ {
-			g := cfg.Fading.Gain(fade)
+			g := fading.Gain(fade)
 			if g < 1e-6 {
 				g = 1e-6
 			}
@@ -368,7 +362,7 @@ func (c *Cell) contentionDomains() [][]int {
 		for b := a + 1; b < nst; b++ {
 			d := c.scenario.Stations[a].Dist(c.scenario.Stations[b])
 			loss := phy.IndoorOffice().LossDB(d)
-			if phy.RxPowerDBm(c.scenario.TxPowerDBm, loss) >= phy.WiFiCSThresholdDBm {
+			if phy.RxPowerDBm(phy.DefaultTxPowerDBm, loss) >= phy.WiFiCSThresholdDBm {
 				parent[find(a)] = find(b)
 			}
 		}
@@ -436,7 +430,7 @@ func (c *Cell) scheduledMCS(ue, b int) (phy.MCS, bool) {
 func (c *Cell) Env() sched.Env {
 	return sched.Env{
 		NumUE: c.numUE,
-		NumRB: c.cfg.RBGs,
+		NumRB: numRBGs,
 		M:     c.cfg.M,
 		K:     c.cfg.K,
 		Alpha: 200,
@@ -445,7 +439,7 @@ func (c *Cell) Env() sched.Env {
 			if !ok {
 				return 0
 			}
-			return c.bitsPerRBG * mcs.Efficiency
+			return bitsPerRBG * mcs.Efficiency
 		},
 		GroupScale: func(n int) float64 {
 			// Expected efficiency ratio of the MU-MIMO DoF penalty at a
@@ -494,9 +488,9 @@ func (c *Cell) Step(sf int, schedule *lte.Schedule) []lte.RBResult {
 			sinr[i] = c.snrDB[ue][b] + c.fadeDB[ue][sf]
 		}
 		if c.cfg.NOMA {
-			results[b] = lte.ReceiveNOMA(ues, transmitted, mcss, sinr, c.cfg.M, c.bitsPerRBG)
+			results[b] = lte.ReceiveNOMA(ues, transmitted, mcss, sinr, c.cfg.M, bitsPerRBG)
 		} else {
-			results[b] = lte.Receive(ues, transmitted, mcss, sinr, c.cfg.M, c.bitsPerRBG)
+			results[b] = lte.Receive(ues, transmitted, mcss, sinr, c.cfg.M, bitsPerRBG)
 		}
 	}
 	return results
@@ -530,7 +524,5 @@ func NewTestbedScenario(nUE, nHT int, seed uint64) *topology.Scenario {
 			Y: enb.Y + dy*scale + r.NormFloat64()*4,
 		}
 	}
-	return topology.Manual(enb, ues, stations,
-		phy.DefaultTxPowerDBm, phy.EnergyDetectThresholdDBm, phy.EnergyDetectThresholdDBm,
-		r.Split("shadow"))
+	return topology.Manual(enb, ues, stations, r.Split("shadow"))
 }

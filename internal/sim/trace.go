@@ -5,7 +5,6 @@ import (
 	"math"
 
 	"blu/internal/blueprint"
-	"blu/internal/faults"
 	"blu/internal/phy"
 	"blu/internal/trace"
 	"blu/internal/wifi"
@@ -48,22 +47,15 @@ func (c *Cell) Export(label string) *trace.Trace {
 
 // ReplayConfig parameterizes trace replay.
 type ReplayConfig struct {
-	// M, K, RBGs, BurstSubframes as in Config; zero values default the
-	// same way.
-	M, K, RBGs, BurstSubframes int
-	// Subframes optionally truncates the replay (0 = whole trace).
-	Subframes int
-	// Faults optionally injects a fault scenario into the replay, as in
-	// Config.Faults. The injector seeds purely from the scenario, so the
-	// same scenario perturbs a recorded trace identically everywhere.
-	Faults *faults.Scenario
+	// M and K as in Config; zero values default the same way.
+	M, K int
 }
 
 // NewFromTrace builds a cell that replays a recorded (or combined)
 // trace: access outcomes and channel states come from the trace, while
-// the antenna count and scheduling granularity may differ from the
-// recording — exactly how the paper drives its large emulated
-// topologies with testbed traces.
+// the antenna count and distinct-UE cap may differ from the recording —
+// exactly how the paper drives its large emulated topologies with
+// testbed traces.
 func NewFromTrace(tr *trace.Trace, rc ReplayConfig) (*Cell, error) {
 	if tr == nil {
 		return nil, fmt.Errorf("sim: nil trace")
@@ -71,37 +63,20 @@ func NewFromTrace(tr *trace.Trace, rc ReplayConfig) (*Cell, error) {
 	if err := tr.Validate(); err != nil {
 		return nil, err
 	}
-	cfg := Config{
-		M:              rc.M,
-		K:              rc.K,
-		RBGs:           rc.RBGs,
-		Subframes:      tr.Subframes,
-		BurstSubframes: rc.BurstSubframes,
-	}
-	cfg = cfg.withDefaults()
-	if rc.Subframes > 0 && rc.Subframes < tr.Subframes {
-		cfg.Subframes = rc.Subframes
-	} else {
-		cfg.Subframes = tr.Subframes
-	}
+	cfg := Config{M: rc.M, K: rc.K, Subframes: tr.Subframes}.withDefaults()
 	c := &Cell{cfg: cfg, numUE: tr.NumUE}
-	rbPerGroup := phy.NumRB / cfg.RBGs
-	if rbPerGroup < 1 {
-		rbPerGroup = 1
-	}
-	c.bitsPerRBG = float64(phy.DataREsPerRB() * rbPerGroup)
 
 	c.snrDB = make([][]float64, c.numUE)
 	c.fadeDB = make([][]float64, c.numUE)
 	for ue := 0; ue < c.numUE; ue++ {
 		ch := tr.Channels[ue]
-		c.snrDB[ue] = make([]float64, cfg.RBGs)
-		for b := 0; b < cfg.RBGs; b++ {
+		c.snrDB[ue] = make([]float64, numRBGs)
+		for b := 0; b < numRBGs; b++ {
 			// Deterministic frequency selectivity, same shape as live
 			// cells so schedulers see comparable diversity.
 			c.snrDB[ue][b] = ch.MeanSNRdB + 3*math.Sin(float64(b)*2.1+float64(ue))
 		}
-		c.fadeDB[ue] = append([]float64(nil), ch.FadeDB[:cfg.Subframes]...)
+		c.fadeDB[ue] = append([]float64(nil), ch.FadeDB...)
 	}
 
 	horizon := int64(cfg.Subframes) * phy.SubframeDurationUS
@@ -120,9 +95,6 @@ func NewFromTrace(tr *trace.Trace, rc ReplayConfig) (*Cell, error) {
 		c.edges = append(c.edges, it.Edges)
 		c.hidden = append(c.hidden, it.HiddenFromENB)
 		c.airtime = append(c.airtime, act.Airtime())
-	}
-	if err := c.attachFaults(rc.Faults); err != nil {
-		return nil, err
 	}
 	c.computeMasks()
 	c.truth = traceGroundTruth(tr.NumUE, c.edges, c.hidden, c.airtime)

@@ -88,18 +88,6 @@ func TestReplayDifferentAntennas(t *testing.T) {
 	}
 }
 
-func TestReplayTruncation(t *testing.T) {
-	cell := testCell(t, 4, 6, 1, 2000, 43)
-	tr := cell.Export("trunc")
-	replay, err := NewFromTrace(tr, ReplayConfig{Subframes: 500})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if replay.Subframes() != 500 {
-		t.Errorf("truncated to %d, want 500", replay.Subframes())
-	}
-}
-
 func TestNewFromTraceValidation(t *testing.T) {
 	if _, err := NewFromTrace(nil, ReplayConfig{}); err == nil {
 		t.Error("nil trace accepted")

@@ -6,14 +6,15 @@
 // global UE id map the blueprint-exchange layer needs to recognize a
 // hidden terminal inferred by a neighboring cell.
 //
-// Geometry: eNBs sit on a grid with CellSpacing pitch. With the default
-// radio parameters a station is audible within ≈31.6 m (15 dBm Tx,
-// −70 dBm energy detection, 40 + 30·log10(d) indoor loss), so at the
-// default 80 m pitch a station near a cell boundary is hidden from both
-// adjacent eNBs while still silencing the border UEs placed there: the
-// same physical hidden terminal appears in both cells' ground truths,
-// which is exactly the duplication the fleet's exchange layer is meant
-// to collapse.
+// Geometry: eNBs sit on a grid with cellSpacing pitch. With phy's radio
+// constants a station is audible within ≈31.6 m (15 dBm Tx, −70 dBm
+// energy detection, 40 + 30·log10(d) indoor loss), so at the 80 m pitch
+// a station near a cell boundary is hidden from both adjacent eNBs
+// while still silencing the border UEs placed there: the same physical
+// hidden terminal appears in both cells' ground truths, which is
+// exactly the duplication the fleet's exchange layer is meant to
+// collapse. Every cell holds at most uesPerCell + 4·borderPerEdge
+// clients, well inside blueprint.MaxClients.
 package topology
 
 import (
@@ -21,81 +22,34 @@ import (
 	"math"
 	"sort"
 
-	"blu/internal/blueprint"
 	"blu/internal/geom"
-	"blu/internal/phy"
 	"blu/internal/rng"
 )
 
-// MultiConfig parameterizes a multi-cell deployment. The zero value
-// selects a 3-cell row with defaults sized so border UEs and shared
-// hidden terminals exist deterministically.
-type MultiConfig struct {
-	// Cells is the number of eNBs (default 3). They are arranged on a
-	// ⌈√Cells⌉-column grid over a shared floor.
-	Cells int
-	// UEsPerCell is the number of interior UEs placed around each eNB
-	// (default 6).
-	UEsPerCell int
-	// BorderPerEdge is the number of extra UEs pinned near each adjacent
-	// cell boundary midpoint (default 1). These are the border UEs: they
-	// are audible in both cells sharing the edge.
-	BorderPerEdge int
-	// StationsPerCell is the number of WiFi stations scattered over each
-	// cell's tile (default 4).
-	StationsPerCell int
-	// BorderStationsPerEdge is the number of stations pinned near each
-	// adjacent cell boundary (default 1) — at the default spacing these
-	// are hidden from both eNBs and block the border UEs, forming the
-	// cross-cell hidden terminals the exchange layer deduplicates.
-	BorderStationsPerEdge int
-	// CellSpacing is the eNB grid pitch in meters (default 80 — wide
-	// enough that a boundary station is hidden from both eNBs).
-	CellSpacing float64
-	// AudibleRange is the cell-attachment radius: a UE belongs to the
+// The multi-cell layout, sized so border UEs and shared hidden
+// terminals exist deterministically.
+const (
+	// uesPerCell interior UEs are placed around each eNB.
+	uesPerCell = 6
+	// borderPerEdge extra UEs are pinned near each adjacent cell
+	// boundary midpoint. These are the border UEs: they are audible in
+	// both cells sharing the edge.
+	borderPerEdge = 1
+	// stationsPerCell WiFi stations are scattered over each cell's tile.
+	stationsPerCell = 4
+	// borderStationsPerEdge stations are pinned near each adjacent cell
+	// boundary — at cellSpacing these are hidden from both eNBs and block
+	// the border UEs, forming the cross-cell hidden terminals the
+	// exchange layer deduplicates.
+	borderStationsPerEdge = 1
+	// cellSpacing is the eNB grid pitch in meters, wide enough that a
+	// boundary station is hidden from both eNBs.
+	cellSpacing = 80.0
+	// audibleRange is the cell-attachment radius: a UE belongs to the
 	// client set of every cell whose eNB is within this range, and
-	// always to its nearest cell (default 0.6·CellSpacing).
-	AudibleRange float64
-
-	// TxPowerDBm, UESenseDBm, and ENBSenseDBm default like Config.
-	TxPowerDBm  float64
-	UESenseDBm  float64
-	ENBSenseDBm float64
-}
-
-func (c MultiConfig) withDefaults() MultiConfig {
-	if c.Cells == 0 {
-		c.Cells = 3
-	}
-	if c.UEsPerCell == 0 {
-		c.UEsPerCell = 6
-	}
-	if c.BorderPerEdge == 0 {
-		c.BorderPerEdge = 1
-	}
-	if c.StationsPerCell == 0 {
-		c.StationsPerCell = 4
-	}
-	if c.BorderStationsPerEdge == 0 {
-		c.BorderStationsPerEdge = 1
-	}
-	if c.CellSpacing == 0 {
-		c.CellSpacing = 80
-	}
-	if c.AudibleRange == 0 {
-		c.AudibleRange = 0.6 * c.CellSpacing
-	}
-	if c.TxPowerDBm == 0 {
-		c.TxPowerDBm = phy.DefaultTxPowerDBm
-	}
-	if c.UESenseDBm == 0 {
-		c.UESenseDBm = phy.EnergyDetectThresholdDBm
-	}
-	if c.ENBSenseDBm == 0 {
-		c.ENBSenseDBm = phy.EnergyDetectThresholdDBm
-	}
-	return c
-}
+	// always to its nearest cell.
+	audibleRange = 0.6 * cellSpacing
+)
 
 // CellView is one cell of a MultiScenario: its identity, its local
 // Scenario (UEs indexed 0..len(Members)-1), and the local → global UE
@@ -135,31 +89,25 @@ type MultiScenario struct {
 // CellID renders the canonical id of cell i.
 func CellID(i int) string { return fmt.Sprintf("cell-%d", i) }
 
-// NewMultiScenario builds a multi-cell deployment: eNBs on a grid,
-// interior UEs uniform around each eNB, border UEs and border stations
-// pinned (with jitter) to adjacent-cell boundary midpoints, and
-// stations scattered per tile. All randomness comes from r; the
-// per-cell scenarios use pure path loss (no shadowing) so the same
-// physical link is scored identically from both sides of a border.
-func NewMultiScenario(cfg MultiConfig, r *rng.Source) (*MultiScenario, error) {
-	cfg = cfg.withDefaults()
-	if cfg.Cells < 1 {
-		return nil, fmt.Errorf("topology: Cells %d out of range", cfg.Cells)
-	}
-	if cfg.UEsPerCell < 1 {
-		return nil, fmt.Errorf("topology: UEsPerCell %d out of range", cfg.UEsPerCell)
-	}
-	if cfg.BorderPerEdge < 0 || cfg.StationsPerCell < 0 || cfg.BorderStationsPerEdge < 0 {
-		return nil, fmt.Errorf("topology: negative multi-cell counts")
+// NewMultiScenario builds a deployment of cells eNBs on a
+// ⌈√cells⌉-column grid over a shared floor: interior UEs uniform around
+// each eNB, border UEs and border stations pinned (with jitter) to
+// adjacent-cell boundary midpoints, and stations scattered per tile.
+// All randomness comes from r; the per-cell scenarios use pure path
+// loss (no shadowing) so the same physical link is scored identically
+// from both sides of a border.
+func NewMultiScenario(cells int, r *rng.Source) (*MultiScenario, error) {
+	if cells < 1 {
+		return nil, fmt.Errorf("topology: %d cells out of range", cells)
 	}
 
-	cols := int(math.Ceil(math.Sqrt(float64(cfg.Cells))))
-	rows := (cfg.Cells + cols - 1) / cols
-	s := cfg.CellSpacing
+	cols := int(math.Ceil(math.Sqrt(float64(cells))))
+	rows := (cells + cols - 1) / cols
+	const s = cellSpacing
 	ms := &MultiScenario{
 		Floor: geom.Floor{Width: float64(cols) * s, Height: float64(rows) * s},
 	}
-	for i := 0; i < cfg.Cells; i++ {
+	for i := 0; i < cells; i++ {
 		ms.ENBs = append(ms.ENBs, geom.Point{
 			X: (float64(i%cols) + 0.5) * s,
 			Y: (float64(i/cols) + 0.5) * s,
@@ -169,8 +117,8 @@ func NewMultiScenario(cfg MultiConfig, r *rng.Source) (*MultiScenario, error) {
 	// Interior UEs: uniform in a 0.7·spacing square centered on the eNB,
 	// comfortably inside the tile so they attach to exactly one cell.
 	ru := r.Split("multicell-ues")
-	for c := 0; c < cfg.Cells; c++ {
-		for k := 0; k < cfg.UEsPerCell; k++ {
+	for c := 0; c < cells; c++ {
+		for k := 0; k < uesPerCell; k++ {
 			ms.UEs = append(ms.UEs, ms.ENBs[c].Add(
 				(ru.Float64()-0.5)*0.7*s,
 				(ru.Float64()-0.5)*0.7*s,
@@ -179,11 +127,11 @@ func NewMultiScenario(cfg MultiConfig, r *rng.Source) (*MultiScenario, error) {
 	}
 	// Border UEs and stations: pinned near every adjacent-pair boundary
 	// midpoint, jittered so repeated placements don't coincide.
-	edges := gridEdges(cfg.Cells, cols)
+	edges := gridEdges(cells, cols)
 	rb := r.Split("multicell-borders")
 	for _, e := range edges {
 		mid := midpoint(ms.ENBs[e[0]], ms.ENBs[e[1]])
-		for k := 0; k < cfg.BorderPerEdge; k++ {
+		for k := 0; k < borderPerEdge; k++ {
 			ms.UEs = append(ms.UEs, clampToFloor(mid.Add(
 				(rb.Float64()-0.5)*0.08*s,
 				(rb.Float64()-0.5)*0.08*s,
@@ -191,15 +139,15 @@ func NewMultiScenario(cfg MultiConfig, r *rng.Source) (*MultiScenario, error) {
 		}
 	}
 	rs := r.Split("multicell-stations")
-	for c := 0; c < cfg.Cells; c++ {
+	for c := 0; c < cells; c++ {
 		tile := geom.Point{X: float64(c%cols) * s, Y: float64(c/cols) * s}
-		for k := 0; k < cfg.StationsPerCell; k++ {
+		for k := 0; k < stationsPerCell; k++ {
 			ms.Stations = append(ms.Stations, tile.Add(rs.Float64()*s, rs.Float64()*s))
 		}
 	}
 	for _, e := range edges {
 		mid := midpoint(ms.ENBs[e[0]], ms.ENBs[e[1]])
-		for k := 0; k < cfg.BorderStationsPerEdge; k++ {
+		for k := 0; k < borderStationsPerEdge; k++ {
 			ms.Stations = append(ms.Stations, clampToFloor(mid.Add(
 				(rs.Float64()-0.5)*0.08*s,
 				(rs.Float64()-0.5)*0.08*s,
@@ -208,11 +156,11 @@ func NewMultiScenario(cfg MultiConfig, r *rng.Source) (*MultiScenario, error) {
 	}
 
 	// Attachment: every UE joins its nearest cell plus every cell within
-	// AudibleRange. Border UEs (two or more cells) are the exchange
+	// audibleRange. Border UEs (two or more cells) are the exchange
 	// layer's subject.
 	ms.Owner = make([]int, len(ms.UEs))
 	ms.AudibleIn = make([][]int, len(ms.UEs))
-	members := make([][]int, cfg.Cells)
+	members := make([][]int, cells)
 	for g, p := range ms.UEs {
 		best, bestD := 0, math.Inf(1)
 		for c := range ms.ENBs {
@@ -222,7 +170,7 @@ func NewMultiScenario(cfg MultiConfig, r *rng.Source) (*MultiScenario, error) {
 		}
 		ms.Owner[g] = best
 		for c := range ms.ENBs {
-			if c == best || p.Dist(ms.ENBs[c]) <= cfg.AudibleRange {
+			if c == best || p.Dist(ms.ENBs[c]) <= audibleRange {
 				ms.AudibleIn[g] = append(ms.AudibleIn[g], c)
 				members[c] = append(members[c], g)
 			}
@@ -230,23 +178,17 @@ func NewMultiScenario(cfg MultiConfig, r *rng.Source) (*MultiScenario, error) {
 	}
 
 	rcell := r.Split("multicell-scenarios")
-	for c := 0; c < cfg.Cells; c++ {
-		if len(members[c]) > blueprint.MaxClients {
-			return nil, fmt.Errorf("topology: cell %d has %d clients, cap %d",
-				c, len(members[c]), blueprint.MaxClients)
-		}
+	for c := 0; c < cells; c++ {
 		sort.Ints(members[c]) // canonical local indexing
 		ues := make([]geom.Point, len(members[c]))
 		for i, g := range members[c] {
 			ues[i] = ms.UEs[g]
 		}
 		ms.Cells = append(ms.Cells, CellView{
-			ID:      CellID(c),
-			ENB:     ms.ENBs[c],
-			Members: members[c],
-			Scenario: Manual(ms.ENBs[c], ues, ms.Stations,
-				cfg.TxPowerDBm, cfg.UESenseDBm, cfg.ENBSenseDBm,
-				rcell.SplitIndex("cell", c)),
+			ID:       CellID(c),
+			ENB:      ms.ENBs[c],
+			Members:  members[c],
+			Scenario: Manual(ms.ENBs[c], ues, ms.Stations, rcell.SplitIndex("cell", c)),
 		})
 	}
 	return ms, nil

@@ -37,7 +37,7 @@ func (ms *MultiScenario) CellGroundTruth(c int, airtime []float64) *blueprint.To
 }
 
 func TestMultiScenarioDefaults(t *testing.T) {
-	ms, err := NewMultiScenario(MultiConfig{}, rng.New(1))
+	ms, err := NewMultiScenario(3, rng.New(1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,7 +95,7 @@ func TestMultiScenarioDefaults(t *testing.T) {
 // cell that can hear it, so the same physical client appears in two
 // cells' client sets.
 func TestMultiScenarioBorderUEs(t *testing.T) {
-	ms, err := NewMultiScenario(MultiConfig{}, rng.New(2))
+	ms, err := NewMultiScenario(3, rng.New(2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,7 +122,7 @@ func TestMultiScenarioBorderUEs(t *testing.T) {
 // overlapping global ids — the duplicated inference work the blueprint
 // exchange collapses.
 func TestMultiScenarioSharedHiddenTerminals(t *testing.T) {
-	ms, err := NewMultiScenario(MultiConfig{}, rng.New(3))
+	ms, err := NewMultiScenario(3, rng.New(3))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -152,11 +152,11 @@ func TestMultiScenarioSharedHiddenTerminals(t *testing.T) {
 }
 
 func TestMultiScenarioDeterministic(t *testing.T) {
-	a, err := NewMultiScenario(MultiConfig{Cells: 4}, rng.New(9))
+	a, err := NewMultiScenario(4, rng.New(9))
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := NewMultiScenario(MultiConfig{Cells: 4}, rng.New(9))
+	b, err := NewMultiScenario(4, rng.New(9))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -176,14 +176,9 @@ func TestMultiScenarioDeterministic(t *testing.T) {
 }
 
 func TestMultiScenarioValidation(t *testing.T) {
-	if _, err := NewMultiScenario(MultiConfig{Cells: -1}, rng.New(1)); err == nil {
-		t.Error("negative Cells accepted")
-	}
-	if _, err := NewMultiScenario(MultiConfig{UEsPerCell: -2}, rng.New(1)); err == nil {
-		t.Error("negative UEsPerCell accepted")
-	}
-	// Overflowing a cell's client cap must be refused, not truncated.
-	if _, err := NewMultiScenario(MultiConfig{Cells: 1, UEsPerCell: 80}, rng.New(1)); err == nil {
-		t.Error("client-cap overflow accepted")
+	for _, cells := range []int{0, -1} {
+		if _, err := NewMultiScenario(cells, rng.New(1)); err == nil {
+			t.Errorf("%d cells accepted", cells)
+		}
 	}
 }

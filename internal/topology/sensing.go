@@ -27,8 +27,8 @@ func DefaultSensingAnalysis() SensingAnalysis {
 // whose signal is strong enough at the UE to interfere (at or above the
 // interference floor) yet too weak for the UE to sense at senseDBm —
 // exactly the stations the UE cannot coordinate with. Pass
-// phy.WiFiCSThresholdDBm for a WiFi client and the scenario's ED
-// threshold for an LTE UE.
+// phy.WiFiCSThresholdDBm for a WiFi client and
+// phy.EnergyDetectThresholdDBm for an LTE UE.
 func (a SensingAnalysis) UnsensedInterferers(s *Scenario, senseDBm float64) []int {
 	counts := make([]int, len(s.UEs))
 	for i := range s.UEs {
@@ -44,12 +44,12 @@ func (a SensingAnalysis) UnsensedInterferers(s *Scenario, senseDBm float64) []in
 
 // CompareCellTechnologies returns the mean number of unsensed
 // interferers per client when the cell's clients are WiFi (carrier
-// sensing at −85 dBm) versus LTE (energy detection at the scenario's UE
-// threshold). The ratio lteMean/wifiMean is the Fig 4c quantity; the
-// paper reports it "well over two times".
+// sensing at −85 dBm) versus LTE (energy detection at −70 dBm). The
+// ratio lteMean/wifiMean is the Fig 4c quantity; the paper reports it
+// "well over two times".
 func (a SensingAnalysis) CompareCellTechnologies(s *Scenario) (wifiMean, lteMean float64) {
 	wifi := a.UnsensedInterferers(s, phy.WiFiCSThresholdDBm)
-	lte := a.UnsensedInterferers(s, s.UESenseDBm)
+	lte := a.UnsensedInterferers(s, phy.EnergyDetectThresholdDBm)
 	var ws, ls float64
 	for i := range wifi {
 		ws += float64(wifi[i])

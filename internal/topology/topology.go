@@ -21,7 +21,9 @@ import (
 )
 
 // Scenario is one physical deployment: node positions plus the radio
-// model binding them.
+// model binding them. The radio constants are phy's: every node
+// transmits at phy.DefaultTxPowerDBm, and UEs and the eNB both sense at
+// the phy.EnergyDetectThresholdDBm energy-detection threshold.
 type Scenario struct {
 	// ENB is the base-station position.
 	ENB geom.Point
@@ -30,13 +32,6 @@ type Scenario struct {
 	// Stations are the WiFi transmitter positions (hidden-terminal
 	// candidates).
 	Stations []geom.Point
-
-	// TxPowerDBm is the WiFi stations' and UEs' transmit power.
-	TxPowerDBm float64
-	// UESenseDBm is the UEs' CCA energy-detection threshold.
-	UESenseDBm float64
-	// ENBSenseDBm is the eNB's LBT energy-detection threshold.
-	ENBSenseDBm float64
 
 	loss *phy.Shadowing
 }
@@ -53,14 +48,6 @@ type Config struct {
 	Floor geom.Floor
 	// NumUEs and NumStations size the deployment.
 	NumUEs, NumStations int
-	// TxPowerDBm defaults to phy.DefaultTxPowerDBm.
-	TxPowerDBm float64
-	// UESenseDBm defaults to phy.EnergyDetectThresholdDBm.
-	UESenseDBm float64
-	// ENBSenseDBm defaults to phy.EnergyDetectThresholdDBm.
-	ENBSenseDBm float64
-	// ShadowSigmaDB is the log-normal shadowing deviation (default 6).
-	ShadowSigmaDB float64
 	// Clustered places stations in clusters (neighboring cells) instead
 	// of uniformly.
 	Clustered bool
@@ -69,18 +56,6 @@ type Config struct {
 func (c Config) withDefaults() Config {
 	if c.Floor.Width == 0 {
 		c.Floor = geom.Floor{Width: 50, Height: 30}
-	}
-	if c.TxPowerDBm == 0 {
-		c.TxPowerDBm = phy.DefaultTxPowerDBm
-	}
-	if c.UESenseDBm == 0 {
-		c.UESenseDBm = phy.EnergyDetectThresholdDBm
-	}
-	if c.ENBSenseDBm == 0 {
-		c.ENBSenseDBm = phy.EnergyDetectThresholdDBm
-	}
-	if c.ShadowSigmaDB == 0 {
-		c.ShadowSigmaDB = 6
 	}
 	return c
 }
@@ -98,33 +73,23 @@ func NewScenario(cfg Config, r *rng.Source) (*Scenario, error) {
 		return nil, fmt.Errorf("topology: negative NumStations")
 	}
 	s := &Scenario{
-		ENB:         cfg.Floor.Center(),
-		UEs:         geom.UniformPlacement(cfg.Floor, cfg.NumUEs, r.Split("ues")),
-		TxPowerDBm:  cfg.TxPowerDBm,
-		UESenseDBm:  cfg.UESenseDBm,
-		ENBSenseDBm: cfg.ENBSenseDBm,
+		ENB: cfg.Floor.Center(),
+		UEs: geom.UniformPlacement(cfg.Floor, cfg.NumUEs, r.Split("ues")),
 	}
 	if cfg.Clustered {
 		s.Stations = geom.ClusteredPlacement(cfg.Floor, cfg.NumStations, max(1, cfg.NumStations/3), 3, r.Split("stations"))
 	} else {
 		s.Stations = geom.UniformPlacement(cfg.Floor, cfg.NumStations, r.Split("stations"))
 	}
-	s.loss = phy.NewShadowing(phy.IndoorOffice(), cfg.ShadowSigmaDB, r.Split("shadowing"))
+	s.loss = phy.NewShadowing(phy.IndoorOffice(), phy.ShadowSigmaDB, r.Split("shadowing"))
 	return s, nil
 }
 
 // Manual builds a scenario from explicit positions with no shadowing —
 // used by tests and the testbed-replica topologies where placement is
 // controlled.
-func Manual(enb geom.Point, ues, stations []geom.Point, txPowerDBm, ueSenseDBm, enbSenseDBm float64, r *rng.Source) *Scenario {
-	s := &Scenario{
-		ENB:         enb,
-		UEs:         ues,
-		Stations:    stations,
-		TxPowerDBm:  txPowerDBm,
-		UESenseDBm:  ueSenseDBm,
-		ENBSenseDBm: enbSenseDBm,
-	}
+func Manual(enb geom.Point, ues, stations []geom.Point, r *rng.Source) *Scenario {
+	s := &Scenario{ENB: enb, UEs: ues, Stations: stations}
 	s.loss = phy.NewShadowing(phy.IndoorOffice(), 0, r)
 	return s
 }
@@ -132,31 +97,31 @@ func Manual(enb geom.Point, ues, stations []geom.Point, txPowerDBm, ueSenseDBm, 
 // RxAtUE returns station k's received power (dBm) at UE i.
 func (s *Scenario) RxAtUE(k, i int) float64 {
 	d := s.Stations[k].Dist(s.UEs[i])
-	return phy.RxPowerDBm(s.TxPowerDBm, s.loss.LinkLossDB(s.stationIdx(k), s.ueIdx(i), d))
+	return phy.RxPowerDBm(phy.DefaultTxPowerDBm, s.loss.LinkLossDB(s.stationIdx(k), s.ueIdx(i), d))
 }
 
 // RxAtENB returns station k's received power (dBm) at the eNB.
 func (s *Scenario) RxAtENB(k int) float64 {
 	d := s.Stations[k].Dist(s.ENB)
-	return phy.RxPowerDBm(s.TxPowerDBm, s.loss.LinkLossDB(s.stationIdx(k), s.enbIdx(), d))
+	return phy.RxPowerDBm(phy.DefaultTxPowerDBm, s.loss.LinkLossDB(s.stationIdx(k), s.enbIdx(), d))
 }
 
 // UplinkSNRdB returns UE i's uplink SNR (dB) at the eNB before fading.
 func (s *Scenario) UplinkSNRdB(i int) float64 {
 	d := s.UEs[i].Dist(s.ENB)
-	rx := phy.RxPowerDBm(s.TxPowerDBm, s.loss.LinkLossDB(s.ueIdx(i), s.enbIdx(), d))
+	rx := phy.RxPowerDBm(phy.DefaultTxPowerDBm, s.loss.LinkLossDB(s.ueIdx(i), s.enbIdx(), d))
 	return rx - phy.NoiseFloorDBm
 }
 
 // HiddenFromENB reports whether station k is inaudible at the eNB's
 // LBT, i.e. it cannot block the eNB's own channel access.
 func (s *Scenario) HiddenFromENB(k int) bool {
-	return s.RxAtENB(k) < s.ENBSenseDBm
+	return s.RxAtENB(k) < phy.EnergyDetectThresholdDBm
 }
 
 // Blocks reports whether station k's transmissions silence UE i's CCA.
 func (s *Scenario) Blocks(k, i int) bool {
-	return s.RxAtUE(k, i) >= s.UESenseDBm
+	return s.RxAtUE(k, i) >= phy.EnergyDetectThresholdDBm
 }
 
 // HiddenTerminalEdges returns, per station, the set of UEs it blocks —

@@ -21,9 +21,7 @@ func manualScenario() *Scenario {
 		{X: 0, Y: -36}, // equidistant ≈41 m from both UEs, 36 m from eNB (hidden)
 		{X: 10, Y: 0},  // 10 m from eNB: audible at eNB
 	}
-	return Manual(enb, ues, stations,
-		phy.DefaultTxPowerDBm, phy.EnergyDetectThresholdDBm, phy.EnergyDetectThresholdDBm,
-		rng.New(1))
+	return Manual(enb, ues, stations, rng.New(1))
 }
 
 func TestManualScenarioEdges(t *testing.T) {
@@ -31,7 +29,7 @@ func TestManualScenarioEdges(t *testing.T) {
 	// Station 1 at (0,-36): distance to each UE = sqrt(20²+36²) ≈ 41 m
 	// — too far to block. Move expectations from geometry:
 	d := s.Stations[1].Dist(s.UEs[0])
-	blocks := phy.RxPowerDBm(s.TxPowerDBm, phy.IndoorOffice().LossDB(d)) >= s.UESenseDBm
+	blocks := phy.RxPowerDBm(phy.DefaultTxPowerDBm, phy.IndoorOffice().LossDB(d)) >= phy.EnergyDetectThresholdDBm
 	edges := s.HiddenTerminalEdges()
 
 	if !edges[0].Has(0) {
@@ -150,12 +148,10 @@ func TestSensingAnalysis(t *testing.T) {
 		{X: 160, Y: 0}, // interferes, unsensed by both
 		{X: 500, Y: 0}, // below interference floor for both
 	}
-	s := Manual(enb, ues, stations,
-		phy.DefaultTxPowerDBm, phy.EnergyDetectThresholdDBm, phy.EnergyDetectThresholdDBm,
-		rng.New(1))
+	s := Manual(enb, ues, stations, rng.New(1))
 	a := DefaultSensingAnalysis()
 	wifi := a.UnsensedInterferers(s, phy.WiFiCSThresholdDBm)
-	lte := a.UnsensedInterferers(s, s.UESenseDBm)
+	lte := a.UnsensedInterferers(s, phy.EnergyDetectThresholdDBm)
 	if wifi[0] != 1 {
 		t.Errorf("wifi unsensed = %d, want 1", wifi[0])
 	}

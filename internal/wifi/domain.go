@@ -85,15 +85,11 @@ func (d Domain) Generate(horizonUS int64, r *rng.Source) []*Activity {
 		}
 		var busyUntil int64
 		for _, s := range winners {
-			size := s.st.SizeB
-			if size <= 0 {
-				size = DefaultMTUB
-			}
 			rate := s.st.Rate
 			if rate <= 0 {
 				rate = 24
 			}
-			dur := ExchangeDurationUS(size, rate)
+			dur := ExchangeDurationUS(DefaultMTUB, rate)
 			end := now + dur
 			if end > horizonUS {
 				end = horizonUS
