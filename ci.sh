@@ -89,6 +89,17 @@ echo "== persist smoke =="
 go test -race -run 'TestRecovery|TestKillRestore|TestRestore|TestSnapshot|TestCrash|TestRotate|TestAbort' \
   ./internal/persist/ ./internal/serve/
 
+if [ -z "$short" ]; then
+  echo "== fuzz smoke =="
+  # Each binary decoder the serving tier reads outside input with (the
+  # four BLUW frame decoders and the session-record decoder) is fuzzed
+  # for a few seconds beyond its seed corpus.
+  for fz in FuzzDecodeInferRequest FuzzDecodeInferResponse FuzzObserveWire \
+    FuzzDecodeObserveResponse FuzzDecodeSessionRecord; do
+    go test -run '^$' -fuzz "^$fz\$" -fuzztime 5s ./internal/serve
+  done
+fi
+
 echo "== serve smoke =="
 # The serving layer end to end, race-instrumented: start blud on a
 # loopback port, drive a seeded closed-loop bluload run against it, and

@@ -121,59 +121,140 @@ func (w *wireWriter) i32(name string, v int) error {
 	return nil
 }
 
-// wireReader consumes fixed-width little-endian fields with explicit
-// bounds checks; every short read is a truncated-frame error.
+// str writes a u8-length-prefixed string; callers bound it to 255 bytes.
+func (w *wireWriter) str(s string) {
+	w.u8(byte(len(s)))
+	w.b = append(w.b, s...)
+}
+
+func (w *wireWriter) flag(v bool) {
+	if v {
+		w.u8(1)
+	} else {
+		w.u8(0)
+	}
+}
+
+// wireReader consumes fixed-width little-endian fields. The first
+// failure latches in err and exhausts the reader, so every later read
+// returns zero: a decoder reads its whole layout straight through and
+// checks end() once.
 type wireReader struct {
 	b   []byte
 	off int
+	err error
 }
+
+// errTruncated is latched by a read past the end of the input. It is
+// built once so that the reads, which only assign it, stay small enough
+// to inline.
+var errTruncated = frameErr("truncated")
 
 func (r *wireReader) remaining() int { return len(r.b) - r.off }
 
-func (r *wireReader) u8() (byte, error) {
-	if r.remaining() < 1 {
-		return 0, frameErr("truncated at byte %d", r.off)
+// need reports whether n more bytes remain; when they do not, it
+// latches errTruncated and exhausts the reader.
+func (r *wireReader) need(n int) bool {
+	if r.remaining() >= n {
+		return true
+	}
+	if r.err == nil {
+		r.err = errTruncated
+	}
+	r.off = len(r.b)
+	return false
+}
+
+// fail latches the first error (wrapping errMalformedFrame) and
+// exhausts the reader.
+func (r *wireReader) fail(format string, args ...any) {
+	if r.err == nil {
+		r.err = frameErr(format, args...)
+	}
+	r.off = len(r.b)
+}
+
+func (r *wireReader) u8() byte {
+	if !r.need(1) {
+		return 0
 	}
 	v := r.b[r.off]
 	r.off++
-	return v, nil
+	return v
 }
 
-func (r *wireReader) u16() (uint16, error) {
-	if r.remaining() < 2 {
-		return 0, frameErr("truncated at byte %d", r.off)
+func (r *wireReader) u16() uint16 {
+	if !r.need(2) {
+		return 0
 	}
 	v := binary.LittleEndian.Uint16(r.b[r.off:])
 	r.off += 2
-	return v, nil
+	return v
 }
 
-func (r *wireReader) u32() (uint32, error) {
-	if r.remaining() < 4 {
-		return 0, frameErr("truncated at byte %d", r.off)
+func (r *wireReader) u32() uint32 {
+	if !r.need(4) {
+		return 0
 	}
 	v := binary.LittleEndian.Uint32(r.b[r.off:])
 	r.off += 4
-	return v, nil
+	return v
 }
 
-func (r *wireReader) u64() (uint64, error) {
-	if r.remaining() < 8 {
-		return 0, frameErr("truncated at byte %d", r.off)
+func (r *wireReader) u64() uint64 {
+	if !r.need(8) {
+		return 0
 	}
 	v := binary.LittleEndian.Uint64(r.b[r.off:])
 	r.off += 8
-	return v, nil
+	return v
 }
 
-func (r *wireReader) f64() (float64, error) {
-	v, err := r.u64()
-	return math.Float64frombits(v), err
+func (r *wireReader) f64() float64 { return math.Float64frombits(r.u64()) }
+
+func (r *wireReader) i32() int { return int(int32(r.u32())) }
+
+// take returns the next n bytes, aliasing the input.
+func (r *wireReader) take(n int) []byte {
+	if !r.need(n) {
+		return nil
+	}
+	v := r.b[r.off : r.off+n]
+	r.off += n
+	return v
 }
 
-func (r *wireReader) i32() (int, error) {
-	v, err := r.u32()
-	return int(int32(v)), err
+// str reads a u8-length-prefixed string.
+func (r *wireReader) str() string { return string(r.take(int(r.u8()))) }
+
+// flag reads a byte that must be 0 or 1.
+func (r *wireReader) flag(what string) bool {
+	v := r.u8()
+	if v > 1 {
+		r.fail("%s byte %d, want 0 or 1", what, v)
+	}
+	return v == 1
+}
+
+// count passes through c, an item count just read, when the remaining
+// bytes can hold c items of at least each bytes, and fails (returning
+// 0) otherwise — so a forged count is refused before anything sized by
+// it is allocated.
+func (r *wireReader) count(c, each int, what string) int {
+	if c*each > r.remaining() {
+		r.fail("truncated %s: %d bytes left for %d", what, r.remaining(), c)
+		return 0
+	}
+	return c
+}
+
+// end returns the first error, or a trailing-bytes error when the
+// layout left part of the input unread.
+func (r *wireReader) end() error {
+	if r.err == nil && r.remaining() != 0 {
+		r.fail("%d trailing payload bytes", r.remaining())
+	}
+	return r.err
 }
 
 // appendFrameHeader writes the frame header with a placeholder length
@@ -286,62 +367,29 @@ func DecodeInferRequest(data []byte) (*InferRequest, error) {
 	r := wireReader{b: payload}
 	req := &InferRequest{}
 	m := &req.Measurements
-
-	n, err := r.u8()
-	if err != nil {
-		return nil, err
-	}
-	m.N = int(n)
-	if n > 0 {
-		if r.remaining() < 8*int(n) {
-			return nil, frameErr("truncated marginals: %d bytes left for n=%d", r.remaining(), n)
-		}
+	m.N = int(r.u8())
+	if n := r.count(m.N, 8, "marginals"); n > 0 {
 		m.P = make([]float64, n)
 		for i := range m.P {
-			m.P[i], _ = r.f64()
+			m.P[i] = r.f64()
 		}
 	}
-	pairCount, err := r.u16()
-	if err != nil {
-		return nil, err
-	}
-	if pairCount > 0 {
-		if r.remaining() < 10*int(pairCount) {
-			return nil, frameErr("truncated pairs: %d bytes left for %d pairs", r.remaining(), pairCount)
-		}
-		m.Pairs = make([]PairProb, pairCount)
+	if c := r.count(int(r.u16()), 10, "pairs"); c > 0 {
+		m.Pairs = make([]PairProb, c)
 		for i := range m.Pairs {
-			a, _ := r.u8()
-			b, _ := r.u8()
-			p, _ := r.f64()
-			m.Pairs[i] = PairProb{I: int(a), J: int(b), P: p}
+			m.Pairs[i] = PairProb{I: int(r.u8()), J: int(r.u8()), P: r.f64()}
 		}
 	}
-	tripleCount, err := r.u16()
-	if err != nil {
-		return nil, err
-	}
-	if tripleCount > 0 {
-		if r.remaining() < 11*int(tripleCount) {
-			return nil, frameErr("truncated triples: %d bytes left for %d triples", r.remaining(), tripleCount)
-		}
-		m.Triples = make([]TripleProb, tripleCount)
+	if c := r.count(int(r.u16()), 11, "triples"); c > 0 {
+		m.Triples = make([]TripleProb, c)
 		for i := range m.Triples {
-			a, _ := r.u8()
-			b, _ := r.u8()
-			c, _ := r.u8()
-			p, _ := r.f64()
-			m.Triples[i] = TripleProb{I: int(a), J: int(b), K: int(c), P: p}
+			m.Triples[i] = TripleProb{I: int(r.u8()), J: int(r.u8()), K: int(r.u8()), P: r.f64()}
 		}
 	}
-	if req.Options.Seed, err = r.u64(); err != nil {
+	req.Options.Seed = r.u64()
+	req.TimeoutMS = r.i32()
+	if err := r.end(); err != nil {
 		return nil, err
-	}
-	if req.TimeoutMS, err = r.i32(); err != nil {
-		return nil, err
-	}
-	if r.remaining() != 0 {
-		return nil, frameErr("%d trailing payload bytes", r.remaining())
 	}
 	return req, nil
 }
@@ -381,11 +429,7 @@ func EncodeInferResponse(resp *InferResponse) ([]byte, error) {
 	}
 	w.f64(resp.Violation)
 	w.f64(resp.MaxViolation)
-	if resp.Converged {
-		w.u8(1)
-	} else {
-		w.u8(0)
-	}
+	w.flag(resp.Converged)
 	if err := w.i32("starts", resp.Starts); err != nil {
 		return nil, err
 	}
@@ -408,53 +452,20 @@ func DecodeInferResponse(data []byte) (*InferResponse, error) {
 	}
 	r := wireReader{b: payload}
 	resp := &InferResponse{}
-
-	n, err := r.u8()
-	if err != nil {
-		return nil, err
-	}
-	resp.Topology.N = int(n)
-	htCount, err := r.u16()
-	if err != nil {
-		return nil, err
-	}
-	if htCount > 0 {
-		if r.remaining() < 16*int(htCount) {
-			return nil, frameErr("truncated terminals: %d bytes left for %d", r.remaining(), htCount)
-		}
-		resp.Topology.HTs = make([]HTWire, htCount)
+	resp.Topology.N = int(r.u8())
+	if c := r.count(int(r.u16()), 16, "terminals"); c > 0 {
+		resp.Topology.HTs = make([]HTWire, c)
 		for i := range resp.Topology.HTs {
-			q, _ := r.f64()
-			mask, _ := r.u64()
-			members := make([]int, 0, bits.OnesCount64(mask))
-			for v := mask; v != 0; v &= v - 1 {
-				members = append(members, bits.TrailingZeros64(v))
-			}
-			resp.Topology.HTs[i] = HTWire{Q: q, Clients: members}
+			resp.Topology.HTs[i] = HTWire{Q: r.f64(), Clients: blueprint.ClientSet(r.u64()).Members()}
 		}
 	}
-	if resp.Violation, err = r.f64(); err != nil {
+	resp.Violation = r.f64()
+	resp.MaxViolation = r.f64()
+	resp.Converged = r.flag("converged")
+	resp.Starts = r.i32()
+	resp.Iterations = r.i32()
+	if err := r.end(); err != nil {
 		return nil, err
-	}
-	if resp.MaxViolation, err = r.f64(); err != nil {
-		return nil, err
-	}
-	conv, err := r.u8()
-	if err != nil {
-		return nil, err
-	}
-	if conv > 1 {
-		return nil, frameErr("converged byte %d, want 0 or 1", conv)
-	}
-	resp.Converged = conv == 1
-	if resp.Starts, err = r.i32(); err != nil {
-		return nil, err
-	}
-	if resp.Iterations, err = r.i32(); err != nil {
-		return nil, err
-	}
-	if r.remaining() != 0 {
-		return nil, frameErr("%d trailing payload bytes", r.remaining())
 	}
 	return resp, nil
 }
@@ -481,14 +492,9 @@ func EncodeObserveRequest(req *ObserveRequest) ([]byte, error) {
 	var lenOff int
 	w.b, lenOff = appendFrameHeader(w.b, kindObserveRequest)
 
-	w.u8(byte(len(req.Session)))
-	w.b = append(w.b, req.Session...)
+	w.str(req.Session)
 	w.u8(byte(req.N))
-	if req.Seal {
-		w.u8(1)
-	} else {
-		w.u8(0)
-	}
+	w.flag(req.Seal)
 	if err := w.i32("timeout_ms", req.TimeoutMS); err != nil {
 		return nil, err
 	}
@@ -531,62 +537,23 @@ func DecodeObserveRequest(data []byte) (*ObserveRequest, error) {
 	}
 	r := wireReader{b: payload}
 	req := &ObserveRequest{}
-
-	sessLen, err := r.u8()
-	if err != nil {
-		return nil, err
-	}
-	if r.remaining() < int(sessLen) {
-		return nil, frameErr("truncated session id: %d bytes left for %d", r.remaining(), sessLen)
-	}
-	req.Session = string(r.b[r.off : r.off+int(sessLen)])
-	r.off += int(sessLen)
-	n, err := r.u8()
-	if err != nil {
-		return nil, err
-	}
-	req.N = int(n)
-	seal, err := r.u8()
-	if err != nil {
-		return nil, err
-	}
-	if seal > 1 {
-		return nil, frameErr("seal byte %d, want 0 or 1", seal)
-	}
-	req.Seal = seal == 1
-	if req.TimeoutMS, err = r.i32(); err != nil {
-		return nil, err
-	}
-	count, err := r.u16()
-	if err != nil {
-		return nil, err
-	}
-	if count > 0 {
-		req.Observations = make([]ObservationWire, count)
+	req.Session = r.str()
+	req.N = int(r.u8())
+	req.Seal = r.flag("seal")
+	req.TimeoutMS = r.i32()
+	// An observation is at least its u8 count and its u64 mask.
+	if c := r.count(int(r.u16()), 9, "observations"); c > 0 {
+		req.Observations = make([]ObservationWire, c)
 		for oi := range req.Observations {
-			schedCount, err := r.u8()
-			if err != nil {
-				return nil, err
-			}
-			if r.remaining() < int(schedCount)+8 {
-				return nil, frameErr("truncated observation %d: %d bytes left for %d scheduled + mask",
-					oi, r.remaining(), schedCount)
-			}
-			sched := make([]int, schedCount)
+			sched := make([]int, r.count(int(r.u8()), 1, "scheduled clients"))
 			for si := range sched {
-				b, _ := r.u8()
-				sched[si] = int(b)
+				sched[si] = int(r.u8())
 			}
-			mask, _ := r.u64()
-			acc := make([]int, 0, bits.OnesCount64(mask))
-			for v := mask; v != 0; v &= v - 1 {
-				acc = append(acc, bits.TrailingZeros64(v))
-			}
-			req.Observations[oi] = ObservationWire{Scheduled: sched, Accessed: acc}
+			req.Observations[oi] = ObservationWire{Scheduled: sched, Accessed: blueprint.ClientSet(r.u64()).Members()}
 		}
 	}
-	if r.remaining() != 0 {
-		return nil, frameErr("%d trailing payload bytes", r.remaining())
+	if err := r.end(); err != nil {
+		return nil, err
 	}
 	return req, nil
 }
@@ -607,8 +574,7 @@ func EncodeObserveResponse(resp *ObserveResponse) ([]byte, error) {
 	var lenOff int
 	w.b, lenOff = appendFrameHeader(w.b, kindObserveResponse)
 
-	w.u8(byte(len(resp.Session)))
-	w.b = append(w.b, resp.Session...)
+	w.str(resp.Session)
 	if err := w.i32("folded", resp.Folded); err != nil {
 		return nil, err
 	}
@@ -637,36 +603,13 @@ func DecodeObserveResponse(data []byte) (*ObserveResponse, error) {
 		return nil, err
 	}
 	r := wireReader{b: payload}
-	resp := &ObserveResponse{}
-
-	sessLen, err := r.u8()
-	if err != nil {
-		return nil, err
-	}
-	if r.remaining() < int(sessLen) {
-		return nil, frameErr("truncated session id: %d bytes left for %d", r.remaining(), sessLen)
-	}
-	resp.Session = string(r.b[r.off : r.off+int(sessLen)])
-	r.off += int(sessLen)
-	if resp.Folded, err = r.i32(); err != nil {
-		return nil, err
-	}
-	if resp.Epoch, err = r.i32(); err != nil {
-		return nil, err
-	}
-	dg, err := r.u64()
-	if err != nil {
+	resp := &ObserveResponse{Session: r.str(), Folded: r.i32(), Epoch: r.i32()}
+	dg := r.u64()
+	resp.Invalidated = r.i32()
+	resp.Evicted = r.i32()
+	if err := r.end(); err != nil {
 		return nil, err
 	}
 	resp.Digest = fmt.Sprintf("%016x", dg)
-	if resp.Invalidated, err = r.i32(); err != nil {
-		return nil, err
-	}
-	if resp.Evicted, err = r.i32(); err != nil {
-		return nil, err
-	}
-	if r.remaining() != 0 {
-		return nil, frameErr("%d trailing payload bytes", r.remaining())
-	}
 	return resp, nil
 }

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"testing"
 
+	"blu/internal/access"
 	"blu/internal/blueprint"
 	"blu/internal/rng"
 )
@@ -145,6 +146,68 @@ func FuzzDecodeInferResponse(f *testing.F) {
 		frame2, err := EncodeInferResponse(again)
 		if err != nil || !bytes.Equal(frame, frame2) {
 			t.Fatalf("codec is not canonical: second round trip changed the frame (%v)", err)
+		}
+	})
+}
+
+// recordServer is the part of a Server a session record touches: the
+// session registry and the result cache.
+func recordServer() *Server {
+	return &Server{sessions: newSessionStore(maxSessions, windowEpochs), cache: newLRUCache(cacheEntries)}
+}
+
+// sessionRecordSeeds encodes two warm sessions over one window of
+// two epochs: one carries a warm seed, the other minted keys,
+// one with its cached body and one whose body was evicted.
+func sessionRecordSeeds() [][]byte {
+	win := access.NewWindow(3, windowEpochs)
+	for k, ob := range append(htObservations(30, 3), htObservations(20, 7)...) {
+		win.Fold(ob.Scheduled, blueprint.NewClientSet(ob.Accessed...))
+		if k == 29 {
+			win.Advance()
+		}
+	}
+	s := recordServer()
+	s.cache.put(0xB1E0, []byte(`{"topology":{"n":3,"hts":[]}}`))
+	digest := digestMeasurements(win.Measurements())
+	seeded := &session{id: "cell-a", win: win, digest: digest, lastTopo: &blueprint.Topology{N: 3, HTs: []blueprint.HiddenTerminal{
+		{Q: 0.3, Clients: blueprint.NewClientSet(0, 1)},
+	}}}
+	minted := &session{id: "cell-b", win: win, digest: digest, minted: map[uint64]struct{}{0xB1E0: {}, 0x5EED: {}}}
+	return [][]byte{s.encodeSessionRecord(seeded), s.encodeSessionRecord(minted)}
+}
+
+// FuzzDecodeSessionRecord hammers the session-record decoder, which
+// reads snapshot images and handoff imports alike: no input may panic,
+// and a record it accepts, put into a fresh server, must encode to the
+// same bytes every time and survive a second round trip unchanged.
+func FuzzDecodeSessionRecord(f *testing.F) {
+	for _, rec := range sessionRecordSeeds() {
+		if err := recordServer().installSessionRecord(rec); err != nil {
+			f.Fatalf("seed record refused: %v", err)
+		}
+		f.Add(rec)
+		f.Add(rec[:len(rec)/2])
+		flip := append([]byte(nil), rec...)
+		flip[len(flip)/3] ^= 0x20
+		f.Add(flip)
+	}
+	f.Fuzz(func(t *testing.T, rec []byte) {
+		s := recordServer()
+		if s.installSessionRecord(rec) != nil {
+			return
+		}
+		sess := s.sessions.export()[0]
+		enc := s.encodeSessionRecord(sess)
+		if again := s.encodeSessionRecord(sess); !bytes.Equal(enc, again) {
+			t.Fatal("encoding one session twice gave different bytes")
+		}
+		s2 := recordServer()
+		if err := s2.installSessionRecord(enc); err != nil {
+			t.Fatalf("re-encoded record refused: %v", err)
+		}
+		if got := s2.encodeSessionRecord(s2.sessions.export()[0]); !bytes.Equal(got, enc) {
+			t.Fatal("record changed across a second round trip")
 		}
 	})
 }

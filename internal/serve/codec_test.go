@@ -6,6 +6,7 @@ import (
 	"errors"
 	"net/http"
 	"reflect"
+	"runtime"
 	"testing"
 )
 
@@ -40,6 +41,17 @@ func codecTestResponse() *InferResponse {
 		Starts:       17,
 		Iterations:   421,
 	}
+}
+
+func codecTestObserveRequest() *ObserveRequest {
+	return &ObserveRequest{Session: "cell-7", N: 4, Seal: true, TimeoutMS: 250, Observations: []ObservationWire{
+		{Scheduled: []int{0, 1, 3}, Accessed: []int{0, 3}},
+		{Scheduled: []int{2}, Accessed: []int{}},
+	}}
+}
+
+func codecTestObserveResponse() *ObserveResponse {
+	return &ObserveResponse{Session: "cell-7", Folded: 2, Epoch: 5, Digest: "9e3779b97f4a7c15", Invalidated: 1}
 }
 
 func TestBinaryCodecRequestRoundTrip(t *testing.T) {
@@ -123,8 +135,19 @@ func TestBinaryCodecRejectsMalformed(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	obsReqFrame, err := EncodeObserveRequest(codecTestObserveRequest())
+	if err != nil {
+		t.Fatal(err)
+	}
+	obsRespFrame, err := EncodeObserveResponse(codecTestObserveResponse())
+	if err != nil {
+		t.Fatal(err)
+	}
+
 	decodeReq := func(b []byte) error { _, err := DecodeInferRequest(b); return err }
 	decodeResp := func(b []byte) error { _, err := DecodeInferResponse(b); return err }
+	decodeObsReq := func(b []byte) error { _, err := DecodeObserveRequest(b); return err }
+	decodeObsResp := func(b []byte) error { _, err := DecodeObserveResponse(b); return err }
 
 	for _, frame := range []struct {
 		name   string
@@ -133,6 +156,8 @@ func TestBinaryCodecRejectsMalformed(t *testing.T) {
 	}{
 		{"request", reqFrame, decodeReq},
 		{"response", respFrame, decodeResp},
+		{"observe request", obsReqFrame, decodeObsReq},
+		{"observe response", obsRespFrame, decodeObsResp},
 	} {
 		for cut := 0; cut < len(frame.valid); cut++ {
 			if err := frame.decode(frame.valid[:cut]); err == nil {
@@ -177,6 +202,26 @@ func TestBinaryCodecRejectsMalformed(t *testing.T) {
 	bad[len(bad)-9] = 2
 	if err := decodeResp(bad); err == nil {
 		t.Error("response with converged=2 decoded successfully")
+	}
+
+	// A forged observation count is refused before anything is sized by
+	// it: 19 bytes declaring 65,535 observations used to allocate 3.15 MB
+	// of observations first.
+	forged, err := EncodeObserveRequest(&ObserveRequest{})
+	if err != nil || len(forged) != 19 {
+		t.Fatalf("empty observe frame is %d bytes (%v), want 19", len(forged), err)
+	}
+	forged[17], forged[18] = 0xFF, 0xFF
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < 10; i++ {
+		if err := decodeObsReq(forged); !errors.Is(err, errMalformedFrame) {
+			t.Fatalf("forged observation count: error %v does not wrap errMalformedFrame", err)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	if got := after.TotalAlloc - before.TotalAlloc; got > 1<<20 {
+		t.Errorf("10 refusals of a forged observation count allocated %d bytes", got)
 	}
 }
 

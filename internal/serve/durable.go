@@ -21,9 +21,11 @@
 package serve
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"time"
 
 	"blu/internal/access"
@@ -51,7 +53,7 @@ func NewDurable(cfg Config) (*Server, *RecoverStats, error) {
 	}
 	store, stats, err := persist.Open(s.cfg.StateDir, persist.Options{
 		SyncInterval: s.cfg.WALSyncInterval,
-	}, s.restoreSessionRecord, s.replayObserveRecord)
+	}, s.installSessionRecord, s.replayObserveRecord)
 	if err != nil {
 		// The pool is already running; stop it before reporting.
 		_ = s.Drain(context.Background())
@@ -156,13 +158,10 @@ func (s *Server) encodeSessionRecord(sess *session) []byte {
 
 	w := wireWriter{b: make([]byte, 0, 256)}
 	w.u8(sessionRecordVersion)
-	w.u8(byte(len(sess.id)))
-	w.b = append(w.b, sess.id...)
+	w.str(sess.id)
 	w.u64(sess.digest)
-	if sess.lastTopo == nil {
-		w.u8(0)
-	} else {
-		w.u8(1)
+	w.flag(sess.lastTopo != nil)
+	if sess.lastTopo != nil {
 		w.u8(byte(sess.lastTopo.N))
 		w.u16(uint16(len(sess.lastTopo.HTs)))
 		for _, ht := range sess.lastTopo.HTs {
@@ -170,15 +169,21 @@ func (s *Server) encodeSessionRecord(sess *session) []byte {
 			w.u64(uint64(ht.Clients))
 		}
 	}
-	w.u16(uint16(len(sess.minted)))
+	// Ascending key order makes a record a pure function of the state.
+	keys := make([]uint64, 0, len(sess.minted))
 	for key := range sess.minted {
+		keys = append(keys, key)
+	}
+	slices.Sort(keys)
+	w.u16(uint16(len(keys)))
+	for _, key := range keys {
 		w.u64(key)
-		if body, ok := s.cache.peek(key); ok {
-			w.u8(1)
+		// A body evicted by capacity is left out; the key alone restores.
+		body, ok := s.cache.peek(key)
+		w.flag(ok)
+		if ok {
 			w.u32(uint32(len(body)))
 			w.b = append(w.b, body...)
-		} else {
-			w.u8(0) // evicted by capacity; the key alone still restores
 		}
 	}
 	w.u8(byte(st.N))
@@ -206,18 +211,23 @@ type cachedBody struct {
 	body []byte
 }
 
-// restoreSessionRecord is the snapshot-restore callback: decode one
-// record, install the session, and re-seat its cached response bodies.
-// A full registry or a live session with the same id refuses the
-// install. A rejected record is counted corrupt by persist and recovery
-// continues with the remaining sessions.
-func (s *Server) restoreSessionRecord(rec []byte) error {
+// installSessionRecord puts one session record in place: the snapshot
+// restore callback and the handoff import both come here. The record is
+// decoded before anything is touched, so a refused record leaves the
+// live session with the same id, and its cached answers, as they were.
+// The decoded session becomes the most recently used one; it replaces a
+// live session with the same id, or else evicts the least recently used
+// session past the bound. The displaced session's minted cache keys are
+// dropped before the record's cached bodies are put back.
+func (s *Server) installSessionRecord(rec []byte) error {
 	sess, bodies, err := decodeSessionRecord(rec)
 	if err != nil {
 		return err
 	}
-	if !s.sessions.install(sess) {
-		return fmt.Errorf("session registry full at %q", sess.id)
+	s.stateMu.Lock()
+	defer s.stateMu.Unlock()
+	if old := s.sessions.put(sess); old != nil {
+		s.dropSessionKeys(old)
 	}
 	for _, cb := range bodies {
 		s.cache.put(cb.key, cb.body)
@@ -226,155 +236,61 @@ func (s *Server) restoreSessionRecord(rec []byte) error {
 }
 
 // decodeSessionRecord decodes and validates one session record without
-// touching any server state. Every structural check failing — and a
-// restored window whose recomputed canonical digest disagrees with the
-// recorded one — rejects the record whole.
+// touching any server state. Any structural damage, a window capacity
+// above windowEpochs, an invalid warm seed, or a restored window whose
+// recomputed canonical digest disagrees with the recorded one rejects
+// the record whole.
 func decodeSessionRecord(rec []byte) (*session, []cachedBody, error) {
 	r := wireReader{b: rec}
-	ver, err := r.u8()
-	if err != nil {
-		return nil, nil, err
-	}
-	if ver != sessionRecordVersion {
+	if ver := r.u8(); ver != sessionRecordVersion {
 		return nil, nil, fmt.Errorf("session record version %d, want %d", ver, sessionRecordVersion)
 	}
-	idLen, err := r.u8()
-	if err != nil {
-		return nil, nil, err
-	}
-	if int(idLen) > maxSessionIDLen || r.remaining() < int(idLen) {
-		return nil, nil, fmt.Errorf("session record id length %d", idLen)
-	}
-	id := string(r.b[r.off : r.off+int(idLen)])
-	r.off += int(idLen)
-	if id == "" {
-		return nil, nil, errors.New("session record with empty id")
-	}
-	digest, err := r.u64()
-	if err != nil {
-		return nil, nil, err
-	}
-	hasTopo, err := r.u8()
-	if err != nil {
-		return nil, nil, err
-	}
+	id := r.str()
+	digest := r.u64()
 	var topo *blueprint.Topology
-	if hasTopo == 1 {
-		tn, err := r.u8()
-		if err != nil {
-			return nil, nil, err
+	if r.flag("warm seed") {
+		topo = &blueprint.Topology{N: int(r.u8())}
+		for k := r.count(int(r.u16()), 16, "terminals"); k > 0; k-- {
+			topo.HTs = append(topo.HTs, blueprint.HiddenTerminal{Q: r.f64(), Clients: blueprint.ClientSet(r.u64())})
 		}
-		htCount, err := r.u16()
-		if err != nil {
-			return nil, nil, err
-		}
-		topo = &blueprint.Topology{N: int(tn)}
-		for k := 0; k < int(htCount); k++ {
-			q, err := r.f64()
-			if err != nil {
-				return nil, nil, err
-			}
-			mask, err := r.u64()
-			if err != nil {
-				return nil, nil, err
-			}
-			topo.HTs = append(topo.HTs, blueprint.HiddenTerminal{Q: q, Clients: blueprint.ClientSet(mask)})
-		}
-	} else if hasTopo != 0 {
-		return nil, nil, fmt.Errorf("session record topo flag %d", hasTopo)
 	}
-	mintedCount, err := r.u16()
-	if err != nil {
-		return nil, nil, err
-	}
+	mintedCount := r.count(int(r.u16()), 9, "minted keys")
 	minted := make(map[uint64]struct{}, mintedCount)
 	var bodies []cachedBody
-	for k := 0; k < int(mintedCount); k++ {
-		key, err := r.u64()
-		if err != nil {
-			return nil, nil, err
-		}
-		hasBody, err := r.u8()
-		if err != nil {
-			return nil, nil, err
-		}
-		switch hasBody {
-		case 0:
-		case 1:
-			blen, err := r.u32()
-			if err != nil {
-				return nil, nil, err
-			}
-			if int(blen) > r.remaining() {
-				return nil, nil, fmt.Errorf("session record body length %d overruns", blen)
-			}
-			body := make([]byte, blen)
-			copy(body, r.b[r.off:r.off+int(blen)])
-			r.off += int(blen)
-			bodies = append(bodies, cachedBody{key: key, body: body})
-		default:
-			return nil, nil, fmt.Errorf("session record body flag %d", hasBody)
-		}
+	for k := 0; k < mintedCount; k++ {
+		key := r.u64()
 		minted[key] = struct{}{}
-	}
-
-	var st access.WindowState
-	n, err := r.u8()
-	if err != nil {
-		return nil, nil, err
-	}
-	st.N = int(n)
-	capacity, err := r.u32()
-	if err != nil {
-		return nil, nil, err
-	}
-	st.Capacity = int(capacity)
-	seq, err := r.u64()
-	if err != nil {
-		return nil, nil, err
-	}
-	st.Seq = int(seq)
-	epochCount, err := r.u32()
-	if err != nil {
-		return nil, nil, err
-	}
-	if int(epochCount) > st.Capacity {
-		return nil, nil, fmt.Errorf("session record has %d epochs for capacity %d", epochCount, st.Capacity)
-	}
-	for e := 0; e < int(epochCount); e++ {
-		entryCount, err := r.u32()
-		if err != nil {
-			return nil, nil, err
+		if r.flag("cached body") {
+			bodies = append(bodies, cachedBody{key: key, body: bytes.Clone(r.take(int(r.u32())))})
 		}
-		// Each encoded entry is 20 bytes; an impossible count fails here
-		// instead of allocating.
-		if r.remaining() < 20*int(entryCount) {
-			return nil, nil, fmt.Errorf("session record epoch %d truncated", e)
-		}
-		ep := access.WindowEpochState{Entries: make([]access.WindowObs, entryCount)}
+	}
+	st := access.WindowState{N: int(r.u8()), Capacity: int(r.u32()), Seq: int(r.u64())}
+	st.Epochs = make([]access.WindowEpochState, r.count(int(r.u32()), 4, "epochs"))
+	for e := range st.Epochs {
+		ep := &st.Epochs[e]
+		ep.Entries = make([]access.WindowObs, r.count(int(r.u32()), 20, "epoch entries"))
 		for i := range ep.Entries {
-			sched, _ := r.u64()
-			acc, _ := r.u64()
-			count, _ := r.u32()
 			ep.Entries[i] = access.WindowObs{
-				Scheduled: blueprint.ClientSet(sched),
-				Accessed:  blueprint.ClientSet(acc),
-				Count:     int(int32(count)),
+				Scheduled: blueprint.ClientSet(r.u64()),
+				Accessed:  blueprint.ClientSet(r.u64()),
+				Count:     int(int32(r.u32())),
 			}
 		}
-		st.Epochs = append(st.Epochs, ep)
 	}
-	lastSeenLen, err := r.u16()
-	if err != nil {
+	st.LastSeen = make([]int, r.count(int(r.u16()), 8, "freshness entries"))
+	for i := range st.LastSeen {
+		st.LastSeen[i] = int(int64(r.u64()))
+	}
+	if err := r.end(); err != nil {
 		return nil, nil, err
 	}
-	if r.remaining() != 8*int(lastSeenLen) {
-		return nil, nil, fmt.Errorf("session record freshness truncated or trailing bytes")
+	if id == "" || len(id) > maxSessionIDLen {
+		return nil, nil, fmt.Errorf("session record id length %d", len(id))
 	}
-	st.LastSeen = make([]int, lastSeenLen)
-	for i := range st.LastSeen {
-		v, _ := r.u64()
-		st.LastSeen[i] = int(int64(v))
+	// Every window this server creates holds windowEpochs epochs; a larger
+	// capacity would only size an allocation from outside input.
+	if st.Capacity > windowEpochs {
+		return nil, nil, fmt.Errorf("session %q window capacity %d exceeds %d", id, st.Capacity, windowEpochs)
 	}
 
 	win, err := access.ImportWindow(&st)

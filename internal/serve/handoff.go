@@ -22,7 +22,8 @@ type SessionExport struct {
 }
 
 // ExportSessionRecords encodes every live session whose id matches,
-// most recently used first. Each record is collected under its
+// least recently used first, so importing them in order rebuilds their
+// recency on the receiving shard. Each record is collected under its
 // session's lock, so it is internally consistent; folds into other
 // sessions proceed concurrently.
 func (s *Server) ExportSessionRecords(match func(id string) bool) []SessionExport {
@@ -39,28 +40,18 @@ func (s *Server) ExportSessionRecords(match func(id string) bool) []SessionExpor
 	return out
 }
 
-// ImportSessionRecord installs one exported session through the same
-// validate + digest-gate path as snapshot restore, as the most recently
-// used session. An existing session with the same id is replaced, so a
-// retried handoff is idempotent; otherwise a full registry evicts its
-// least-recently-used session, as an observe creating one would. Either
-// way the displaced session's minted cache keys are dropped before the
-// record's bodies are seated. A record this shard refuses leaves the
-// session it already holds, and that session's cached answers, in
-// place. The import is memory-only; a durable caller should SnapshotNow
-// afterwards to make the transfer crash-safe on this side.
+// ImportSessionRecord installs one exported session through the path
+// snapshot restore takes (installSessionRecord): validated and digest-
+// gated, then put in as the most recently used session. An existing
+// session with the same id is replaced, so a retried handoff is
+// idempotent; otherwise a full registry evicts its least-recently-used
+// session, as an observe creating one would. A record this shard refuses
+// leaves the session it already holds, and that session's cached
+// answers, in place. The import is memory-only; a durable caller should
+// SnapshotNow afterwards to make the transfer crash-safe on this side.
 func (s *Server) ImportSessionRecord(rec []byte) error {
-	sess, bodies, err := decodeSessionRecord(rec)
-	if err != nil {
+	if err := s.installSessionRecord(rec); err != nil {
 		return err
-	}
-	s.stateMu.Lock()
-	defer s.stateMu.Unlock()
-	if old := s.sessions.put(sess); old != nil {
-		s.dropSessionKeys(old)
-	}
-	for _, cb := range bodies {
-		s.cache.put(cb.key, cb.body)
 	}
 	obsHandoffImported.Inc()
 	return nil

@@ -2,7 +2,9 @@ package serve
 
 import (
 	"bytes"
+	"encoding/binary"
 	"math"
+	"net/http/httptest"
 	"strings"
 	"testing"
 
@@ -86,7 +88,7 @@ func TestImportEvictsLRU(t *testing.T) {
 	}
 	postObserve(t, tsSrc.URL, ObserveRequest{Session: "b", N: 3, Observations: htObservations(30, 5)})
 
-	evict0, dropped0 := obsSessionEvict.Value(), obsSessionRestoreDropped.Value()
+	evict0 := obsSessionEvict.Value()
 	if err := dst.ImportSessionRecord(src.ExportSessionRecords(nil)[0].Record); err != nil {
 		t.Fatalf("import into a full registry: %v", err)
 	}
@@ -101,9 +103,8 @@ func TestImportEvictsLRU(t *testing.T) {
 			t.Errorf("evicted session a's key %016x is still cached", k)
 		}
 	}
-	if obsSessionEvict.Value() != evict0+1 || obsSessionRestoreDropped.Value() != dropped0 {
-		t.Errorf("evictions +%d, restore drops +%d; want +1 and +0",
-			obsSessionEvict.Value()-evict0, obsSessionRestoreDropped.Value()-dropped0)
+	if obsSessionEvict.Value() != evict0+1 {
+		t.Errorf("evictions +%d, want +1", obsSessionEvict.Value()-evict0)
 	}
 }
 
@@ -206,5 +207,102 @@ func TestImportRejectsInvalidWarmSeed(t *testing.T) {
 		if hdr != "hit" || !bytes.Equal(body, hitBody) {
 			t.Fatalf("%s import: infer header %q, byte-identical=%v", name, hdr, bytes.Equal(body, hitBody))
 		}
+	}
+}
+
+// TestImportRejectsOversizedWindow is the regression for an unbounded
+// window capacity in a session record: a 90-byte record declaring
+// 4,000,000 epochs used to be accepted, after NewWindow had allocated
+// 96 MB for it. A capacity above windowEpochs is refused, and the live
+// session and its cached answer stay.
+func TestImportRejectsOversizedWindow(t *testing.T) {
+	s, ts, _ := newDurableServer(t, Config{Workers: 2})
+	defer drainServer(t, s, ts)
+
+	postObserve(t, ts.URL, ObserveRequest{Session: "cell-a", N: 3, Observations: htObservations(40, 3), Seal: true})
+	sessionInfer(t, ts.URL, "cell-a")
+	sessionInfer(t, ts.URL, "cell-a")
+	hitBody, hdr := sessionInfer(t, ts.URL, "cell-a")
+	if hdr != "hit" {
+		t.Fatalf("warm-up infer not a hit (header %q)", hdr)
+	}
+	live := s.sessions.get("cell-a")
+	// With no warm seed and no minted keys, the capacity follows the
+	// version, id, digest, seed flag, key count and n.
+	rec := s.encodeSessionRecord(&session{id: live.id, win: live.win, digest: live.digest})
+	capOff := 1 + 1 + len(live.id) + 8 + 1 + 2 + 1
+	if got := binary.LittleEndian.Uint32(rec[capOff:]); got != windowEpochs {
+		t.Fatalf("capacity field reads %d, want %d", got, windowEpochs)
+	}
+	binary.LittleEndian.PutUint32(rec[capOff:], 4_000_000)
+	if err := s.ImportSessionRecord(rec); err == nil {
+		t.Fatal("record with a 4,000,000-epoch window imported without error")
+	}
+	if s.sessions.get("cell-a") != live {
+		t.Fatal("refused import replaced the live session")
+	}
+	body, hdr := sessionInfer(t, ts.URL, "cell-a")
+	if hdr != "hit" || !bytes.Equal(body, hitBody) {
+		t.Fatalf("infer header %q after the refused import, byte-identical=%v", hdr, bytes.Equal(body, hitBody))
+	}
+}
+
+// TestSessionRecordsKeepRecency is the regression for handoff order:
+// records used to be exported most recently used first, and importing
+// each as the most recent session reversed the order, so the receiving
+// shard evicted the session the sender had used last. After sessions
+// a, b, c (c most recent) arrive in a 3-session registry, by handoff or
+// by snapshot restore, one new session must evict a.
+func TestSessionRecordsKeepRecency(t *testing.T) {
+	observeABC := func(t *testing.T, url string) {
+		for i, id := range []string{"a", "b", "c"} {
+			postObserve(t, url, ObserveRequest{Session: id, N: 3, Observations: htObservations(10, 3+i)})
+		}
+	}
+	for _, tc := range []struct {
+		name    string
+		receive func(t *testing.T) (*Server, *httptest.Server)
+	}{
+		{"handoff", func(t *testing.T) (*Server, *httptest.Server) {
+			src, tsSrc, _ := newDurableServer(t, Config{Workers: 1})
+			defer drainServer(t, src, tsSrc)
+			observeABC(t, tsSrc.URL)
+			dst, tsDst, _ := newDurableServer(t, Config{Workers: 1})
+			dst.sessions = newSessionStore(3, windowEpochs)
+			for _, ex := range src.ExportSessionRecords(nil) {
+				if err := dst.ImportSessionRecord(ex.Record); err != nil {
+					t.Fatalf("import %s: %v", ex.ID, err)
+				}
+			}
+			return dst, tsDst
+		}},
+		{"restore", func(t *testing.T) (*Server, *httptest.Server) {
+			cfg := durableCfg(t.TempDir())
+			s1, ts1, _ := newDurableServer(t, cfg)
+			observeABC(t, ts1.URL)
+			drainServer(t, s1, ts1) // writes the final snapshot
+			s2, ts2, stats := newDurableServer(t, cfg)
+			if stats.SnapshotRecords != 3 {
+				t.Fatalf("restored %d snapshot sessions, want 3", stats.SnapshotRecords)
+			}
+			s2.sessions.mu.Lock()
+			s2.sessions.max = 3
+			s2.sessions.mu.Unlock()
+			return s2, ts2
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s, ts := tc.receive(t)
+			defer drainServer(t, s, ts)
+			postObserve(t, ts.URL, ObserveRequest{Session: "d", N: 3})
+			if s.sessions.get("a") != nil {
+				t.Error("least recently used session a survived a new session")
+			}
+			for _, id := range []string{"b", "c", "d"} {
+				if s.sessions.get(id) == nil {
+					t.Errorf("session %s was evicted", id)
+				}
+			}
+		})
 	}
 }

@@ -13,10 +13,6 @@ import (
 var (
 	obsSessions     = obs.GetGauge("serve_sessions")
 	obsSessionEvict = obs.GetCounter("serve_session_evict_total")
-	// obsSessionRestoreDropped counts snapshot sessions refused by
-	// install (full registry or duplicate id) during restore — without
-	// it a restore that silently loses sessions leaves no metric trace.
-	obsSessionRestoreDropped = obs.GetCounter("serve_session_restore_dropped_total")
 )
 
 // session is the server-side state of one streaming topology: the
@@ -108,11 +104,12 @@ func (st *sessionStore) getOrCreate(id string, n int) (s, evicted *session, err 
 	return s, st.pushFront(s), nil
 }
 
-// put installs s as the most recently used session, the way a handoff
-// import arrives: a live session with the same id is replaced, and
-// otherwise the least-recently-used session is evicted past the bound,
-// exactly as when an observe creates one. It returns the session put
-// displaced, whose minted cache keys the caller must drop.
+// put installs s as the most recently used session, the way a restored
+// or handed-off record arrives: a live session with the same id is
+// replaced, and otherwise the least-recently-used session is evicted
+// past the bound, exactly as when an observe creates one. It returns
+// the session put displaced, whose minted cache keys the caller must
+// drop.
 func (st *sessionStore) put(s *session) (displaced *session) {
 	st.mu.Lock()
 	defer st.mu.Unlock()
@@ -158,34 +155,15 @@ func (st *sessionStore) remove(id string) *session {
 	return el.Value.(*session)
 }
 
-// export returns every live session, most recently used first — the
-// order snapshots record, so install rebuilds the same LRU order.
+// export returns every live session, least recently used first: the
+// order snapshots and handoffs write records in, so putting them back in
+// that order rebuilds the same recency.
 func (st *sessionStore) export() []*session {
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	out := make([]*session, 0, st.ll.Len())
-	for el := st.ll.Front(); el != nil; el = el.Next() {
+	for el := st.ll.Back(); el != nil; el = el.Prev() {
 		out = append(out, el.Value.(*session))
 	}
 	return out
-}
-
-// install appends a snapshot-restored session at the LRU tail: called
-// in export order (most recent first), it reproduces the saved recency.
-// A full registry or a duplicate id refuses the install (false) —
-// restore counts the record dropped (serve_session_restore_dropped_total)
-// rather than evicting sessions it just restored, and the sessions
-// gauge is refreshed either way so the metric trace matches the
-// registry even when records are lost.
-func (st *sessionStore) install(s *session) bool {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	if _, ok := st.items[s.id]; ok || st.ll.Len() >= st.max {
-		obsSessionRestoreDropped.Inc()
-		obsSessions.Set(float64(st.ll.Len()))
-		return false
-	}
-	st.items[s.id] = st.ll.PushBack(s)
-	obsSessions.Set(float64(st.ll.Len()))
-	return true
 }
