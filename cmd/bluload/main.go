@@ -25,12 +25,12 @@
 //	             refresh loop under load) over the sessions load-a..d.
 //	             Sessions are pre-seeded synchronously before the window
 //	             starts, so no worker races a 404.
-//	-cells n     fleet mode: target a blufleet router instead of a single
+//	-cells n     fleet mode: target a fleet router instead of a single
 //	             daemon and drive the observe mix over n cells — one
 //	             canonical cell:<id> session per cell, every request
 //	             routed with ?cell=, joint/schedule cycled across cells
 //	             round-robin. The cell directory is derived from
-//	             (-cells, -seed), the same derivation blufleet uses, so
+//	             (-cells, -seed), the same derivation blud uses, so
 //	             membership agrees with the fleet without shared files.
 //	             Manifest phases are named Fleet/* and the embedded
 //	             /metrics snapshot is the router's fleet-wide aggregate.
@@ -362,7 +362,7 @@ func run(args []string) error {
 	total := fs.Int64("n", 300, "total requests (ignored when -duration is set)")
 	duration := fs.Duration("duration", 0, "run for this long instead of a fixed count")
 	mix := fs.String("mix", "default", "traffic mix: default or observe")
-	cells := fs.Int("cells", 0, "fleet mode: per-cell mix over this many cells through a blufleet router (0 = single daemon)")
+	cells := fs.Int("cells", 0, "fleet mode: per-cell mix over this many cells through a fleet router (0 = single daemon)")
 	codec := fs.String("codec", "json", "infer wire codec: json or binary")
 	out := fs.String("o", "", "write an obs.Manifest JSON to this file")
 	if err := fs.Parse(args); err != nil {

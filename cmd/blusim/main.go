@@ -12,7 +12,7 @@
 //	-seed n        random seed (default 1)
 //	-parallel n    worker goroutines per experiment (0 = all cores,
 //	               1 = sequential); tables are identical at any setting
-//	-metrics file  enable the obs layer and write a JSON run manifest
+//	-manifest file enable the obs layer and write a JSON run manifest
 //	               (config, seed, per-experiment timings, metric snapshot)
 //	-pprof addr    serve net/http/pprof on addr (e.g. localhost:6060)
 //	-faults list   comma-separated fault scenarios for the chaos
@@ -46,9 +46,8 @@ func run(args []string) error {
 	scale := fs.Float64("scale", 1, "workload scale in (0,1]; 1 is paper scale")
 	seed := fs.Uint64("seed", 1, "random seed")
 	par := fs.Int("parallel", 0, "worker goroutines per experiment (0 = all cores, 1 = sequential)")
-	metrics := fs.String("metrics", "", "write a JSON run manifest to this file (enables metric recording)")
-	pprofAddr := fs.String("pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060)")
 	faultList := fs.String("faults", "", "comma-separated fault scenarios for the chaos experiment (empty = all presets)")
+	rf := obs.AddRunFlags(fs)
 	fs.Usage = func() {
 		fmt.Fprintln(fs.Output(), "usage: blusim [flags] <experiment|all|list>")
 		fs.PrintDefaults()
@@ -61,20 +60,14 @@ func run(args []string) error {
 		fs.Usage()
 		return fmt.Errorf("no experiment given")
 	}
-	if *pprofAddr != "" {
-		addr, err := obs.ServePprof(*pprofAddr)
-		if err != nil {
-			return fmt.Errorf("pprof: %w", err)
-		}
-		fmt.Fprintf(os.Stderr, "blusim: pprof on http://%s/debug/pprof/\n", addr)
+	man, err := rf.Start(args)
+	if err != nil {
+		return err
 	}
 	opts := experiments.Options{Seed: *seed, Scale: *scale, Parallelism: *par, Faults: *faultList}
 	reg := experiments.Registry()
 
-	var man *obs.Manifest
-	if *metrics != "" {
-		obs.Enable()
-		man = obs.NewManifest("blusim", args)
+	if man != nil {
 		man.Seed = *seed
 		man.Config = map[string]any{
 			"scale":    *scale,
@@ -101,13 +94,7 @@ func run(args []string) error {
 			return err
 		}
 	}
-	if man != nil {
-		if err := man.Write(*metrics); err != nil {
-			return err
-		}
-		fmt.Fprintf(os.Stderr, "blusim: wrote manifest %s\n", *metrics)
-	}
-	return nil
+	return rf.Finish()
 }
 
 func runOne(reg map[string]experiments.Runner, id string, opts experiments.Options, man *obs.Manifest) error {
@@ -120,9 +107,7 @@ func runOne(reg map[string]experiments.Runner, id string, opts experiments.Optio
 	if err != nil {
 		return fmt.Errorf("%s: %w", id, err)
 	}
-	if man != nil {
-		man.AddPhase(id, table.Title, time.Since(start))
-	}
+	man.AddPhase(id, table.Title, time.Since(start))
 	table.Fprint(os.Stdout)
 	fmt.Printf("(%s in %.1fs)\n\n", id, time.Since(start).Seconds())
 	return nil

@@ -140,41 +140,48 @@ func (t *Table) String() string {
 // Runner is the registry signature every experiment implements.
 type Runner func(Options) (*Table, error)
 
+// experimentTable lists every experiment once, in run order.
+var experimentTable = []struct {
+	id  string
+	run Runner
+}{
+	{"fig4a", Fig4a},
+	{"fig4b", Fig4b},
+	{"fig4c", Fig4c},
+	{"fig10", Fig10},
+	{"fig11", Fig11},
+	{"fig12", Fig12},
+	{"fig13", Fig13},
+	{"fig14a", Fig14a},
+	{"fig14b", Fig14b},
+	{"fig15", Fig15},
+	{"fig16", Fig16},
+	{"fig17", Fig17},
+	{"fig18", Fig18},
+	{"overhead", Overhead},
+	{"ablation", Ablation},
+	{"dl", DL},
+	{"skewed", Skewed},
+	{"noma", NOMA},
+	{"fairness", Fairness},
+	{"fractional", Fractional},
+	{"chaos", Chaos},
+}
+
 // Registry maps experiment IDs to their runners.
 func Registry() map[string]Runner {
-	return map[string]Runner{
-		"fig4a":      Fig4a,
-		"fig4b":      Fig4b,
-		"fig4c":      Fig4c,
-		"fig10":      Fig10,
-		"fig11":      Fig11,
-		"fig12":      Fig12,
-		"fig13":      Fig13,
-		"fig14a":     Fig14a,
-		"fig14b":     Fig14b,
-		"fig15":      Fig15,
-		"fig16":      Fig16,
-		"fig17":      Fig17,
-		"fig18":      Fig18,
-		"overhead":   Overhead,
-		"dl":         DL,
-		"skewed":     Skewed,
-		"noma":       NOMA,
-		"fairness":   Fairness,
-		"fractional": Fractional,
-		"ablation":   Ablation,
-		"chaos":      Chaos,
+	reg := make(map[string]Runner, len(experimentTable))
+	for _, e := range experimentTable {
+		reg[e.id] = e.run
 	}
+	return reg
 }
 
 // IDs returns the experiment identifiers in run order.
 func IDs() []string {
-	return []string{
-		"fig4a", "fig4b", "fig4c",
-		"fig10", "fig11", "fig12", "fig13",
-		"fig14a", "fig14b",
-		"fig15", "fig16", "fig17", "fig18",
-		"overhead", "ablation", "dl", "skewed", "noma", "fairness", "fractional",
-		"chaos",
+	ids := make([]string, len(experimentTable))
+	for i, e := range experimentTable {
+		ids[i] = e.id
 	}
+	return ids
 }

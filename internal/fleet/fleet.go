@@ -1,7 +1,7 @@
-// Local fleet assembly: the all-in-one launcher used by cmd/blufleet's
-// default mode and the package tests — K shards plus one router in a
-// single process, every component on its own loopback listener, peers
-// wired both ways.
+// Local fleet assembly: the all-in-one launcher used by `blud -mode
+// all` and the package tests — K shards plus one router in a single
+// process, every component on its own loopback listener, peers wired
+// both ways.
 package fleet
 
 import (

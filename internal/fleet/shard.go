@@ -89,9 +89,6 @@ func NewShard(cfg ShardConfig) (*Shard, *serve.RecoverStats, error) {
 	if err := cfg.Directory.Validate(); err != nil {
 		return nil, nil, err
 	}
-	if cfg.Serve.Tool == "" {
-		cfg.Serve.Tool = "blufleet-shard"
-	}
 	srv, stats, err := serve.NewDurable(cfg.Serve)
 	if err != nil {
 		return nil, nil, err

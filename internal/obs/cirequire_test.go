@@ -17,7 +17,7 @@ import (
 )
 
 // requireList matches the counter lists ci.sh hands to
-// `blumanifest -require`; -require-phase, -require-cache and
+// `bluctl manifest -require`; -require-phase, -require-cache and
 // -require-body-file are other flags and do not match.
 var requireList = regexp.MustCompile(`-require ([A-Za-z0-9_,]+)`)
 
@@ -31,7 +31,7 @@ func TestCIRequiredCountersRegistered(t *testing.T) {
 	}
 	lists := requireList.FindAllSubmatch(script, -1)
 	if len(lists) == 0 {
-		t.Fatal("ci.sh has no blumanifest -require lists")
+		t.Fatal("ci.sh has no bluctl manifest -require lists")
 	}
 	for _, list := range lists {
 		for _, name := range strings.Split(string(list[1]), ",") {

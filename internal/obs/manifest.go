@@ -54,8 +54,12 @@ func NewManifest(tool string, args []string) *Manifest {
 	}
 }
 
-// AddPhase appends one completed phase.
+// AddPhase appends one completed phase; on a nil manifest (a run
+// without -manifest) it does nothing.
 func (m *Manifest) AddPhase(name, detail string, d time.Duration) {
+	if m == nil {
+		return
+	}
 	m.Phases = append(m.Phases, PhaseTiming{
 		Name:       name,
 		Detail:     detail,
@@ -84,7 +88,7 @@ func (m *Manifest) Write(path string) error {
 }
 
 // Validate checks the invariants every emitted manifest satisfies;
-// cmd/blumanifest uses it to gate CI on manifest integrity.
+// `bluctl manifest` uses it to gate CI on manifest integrity.
 func (m *Manifest) Validate() error {
 	switch {
 	case m.Tool == "":

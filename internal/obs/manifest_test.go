@@ -2,6 +2,8 @@ package obs
 
 import (
 	"encoding/json"
+	"flag"
+	"net/http"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -85,11 +87,88 @@ func TestManifestValidate(t *testing.T) {
 }
 
 func TestServePprof(t *testing.T) {
-	addr, err := ServePprof("127.0.0.1:0")
+	addr, err := servePprof("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if addr == "" {
-		t.Fatal("empty address")
+	resp, err := http.Get("http://" + addr + "/debug/pprof/")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("pprof index: status %d", resp.StatusCode)
+	}
+}
+
+// TestRunFlagsWriteManifestAtExit checks the one manifest path every
+// command shares: -manifest enables recording, nothing is written
+// until Finish, and Finish (called after a server has drained) writes
+// a valid manifest that names the tool and carries what the run
+// recorded.
+func TestRunFlagsWriteManifestAtExit(t *testing.T) {
+	Reset()
+	defer Disable()
+	path := filepath.Join(t.TempDir(), "manifest.json")
+	fs := flag.NewFlagSet("obstest", flag.ContinueOnError)
+	rf := AddRunFlags(fs)
+	args := []string{"-manifest", path}
+	if err := fs.Parse(args); err != nil {
+		t.Fatal(err)
+	}
+	man, err := rf.Start(args)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if man == nil || !Enabled() {
+		t.Fatal("-manifest did not start a manifest and enable recording")
+	}
+	GetCounter("test_runflags_counter").Add(3)
+	man.AddPhase("work", "", time.Millisecond)
+	if _, err := os.Stat(path); !os.IsNotExist(err) {
+		t.Fatalf("manifest written before Finish (stat: %v)", err)
+	}
+	if err := rf.Finish(); err != nil {
+		t.Fatal(err)
+	}
+
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("manifest not written: %v", err)
+	}
+	var m Manifest
+	if err := json.Unmarshal(data, &m); err != nil {
+		t.Fatal(err)
+	}
+	if err := m.Validate(); err != nil {
+		t.Errorf("manifest invalid: %v", err)
+	}
+	if m.Tool != "obstest" || !reflect.DeepEqual(m.Args, args) {
+		t.Errorf("tool/args = %q/%v", m.Tool, m.Args)
+	}
+	if m.Metrics.Counters["test_runflags_counter"] != 3 || len(m.Phases) != 1 {
+		t.Errorf("counters %v, phases %+v", m.Metrics.Counters, m.Phases)
+	}
+}
+
+// TestRunFlagsWithoutManifest checks that a run without -manifest
+// records nothing and writes nothing.
+func TestRunFlagsWithoutManifest(t *testing.T) {
+	Disable()
+	fs := flag.NewFlagSet("obstest", flag.ContinueOnError)
+	rf := AddRunFlags(fs)
+	if err := fs.Parse(nil); err != nil {
+		t.Fatal(err)
+	}
+	man, err := rf.Start(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if man != nil || Enabled() {
+		t.Fatal("no -manifest, yet a manifest started or recording enabled")
+	}
+	man.AddPhase("work", "", time.Millisecond)
+	if err := rf.Finish(); err != nil {
+		t.Fatal(err)
 	}
 }

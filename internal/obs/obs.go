@@ -1,7 +1,8 @@
 // Package obs is the repo's zero-dependency observability layer:
 // a process-wide metrics registry (counters, float accumulators,
 // gauges, histograms, phase timers) plus structured JSON run manifests
-// (manifest.go) and a net/http/pprof server helper (pprof.go).
+// (manifest.go) and the -manifest/-pprof flags every command shares
+// (runflags.go).
 //
 // The design contract, relied on by the tier-1 benchmarks:
 //
@@ -11,9 +12,9 @@
 //     handle's atomics.
 //   - Recording is a no-op unless Enable has been called: every record
 //     method first loads one package-level atomic.Bool and returns.
-//     CLIs enable the layer when -metrics/-pprof is requested; library
-//     code never does, so `go test -bench` measures the uninstrumented
-//     hot paths.
+//     CLIs enable the layer when -manifest is set (blud always does);
+//     library code never does, so `go test -bench` measures the
+//     uninstrumented hot paths.
 //   - Handles are safe for concurrent use from any number of
 //     goroutines (the parallel experiment fan-out records from all
 //     workers at once).

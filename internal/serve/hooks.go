@@ -85,10 +85,10 @@ func topologiesEqual(a, b *blueprint.Topology) bool {
 // Abort simulates an abrupt kill (kill -9) in-process: the listener
 // closes mid-flight, the durability layer stops without a final
 // snapshot or WAL sync (persist.Store.Abort), and the worker pool is
-// torn down. Nothing is flushed and no manifest is written — recovery
-// must come from the last durable snapshot plus the synced WAL prefix,
-// exactly as after a real crash. The server is unusable afterwards; do
-// not call Drain on an aborted server.
+// torn down. Nothing is flushed — recovery must come from the last
+// durable snapshot plus the synced WAL prefix, exactly as after a real
+// crash. The server is unusable afterwards; do not call Drain on an
+// aborted server.
 func (s *Server) Abort() {
 	if s.httpSrv != nil {
 		s.httpSrv.Close()

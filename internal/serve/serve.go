@@ -35,7 +35,7 @@
 //   - Deadlines: a per-request timeout_ms maps onto the existing
 //     blueprint.InferContext plumbing; expiry answers 504.
 //   - Graceful drain: Drain stops intake, finishes every in-flight
-//     request, stops the workers, and flushes a run manifest.
+//     request, and stops the workers.
 //
 // The package is stdlib-only (plus the repo's internal packages), like
 // everything else in the tree.
@@ -99,12 +99,6 @@ type Config struct {
 	// WALSyncInterval is the WAL group-commit window: how long an
 	// acknowledged observe batch may stay memory-only (default 25ms).
 	WALSyncInterval time.Duration
-	// ManifestPath, when set, is where Drain flushes the run manifest.
-	ManifestPath string
-	// Tool and Args identify the process in the manifest (default
-	// "blud").
-	Tool string
-	Args []string
 }
 
 // Fixed serving bounds.
@@ -134,9 +128,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.SnapshotInterval <= 0 {
 		c.SnapshotInterval = 30 * time.Second
-	}
-	if c.Tool == "" {
-		c.Tool = "blud"
 	}
 	return c
 }
@@ -172,7 +163,6 @@ type Server struct {
 	flights  *flightGroup
 	sessions *sessionStore
 	tables   *tablesCache
-	manifest *obs.Manifest
 
 	queue    chan *job
 	poolDone chan struct{}
@@ -216,7 +206,6 @@ func newServer(cfg Config) *Server {
 		flights:  newFlightGroup(),
 		sessions: newSessionStore(maxSessions, windowEpochs),
 		tables:   newTablesCache(jointTablesMaxBytes),
-		manifest: obs.NewManifest(cfg.Tool, cfg.Args),
 		queue:    make(chan *job, cfg.QueueDepth),
 		poolDone: make(chan struct{}),
 		serveErr: make(chan error, 1),
@@ -269,11 +258,11 @@ func (s *Server) Listen(addr string) (string, error) {
 // Drain gracefully stops the server: flip /healthz to 503 "draining"
 // (balancers stop routing), stop accepting requests (when Listen was
 // used, http.Server.Shutdown waits for every in-flight handler), run
-// every already-queued job to completion, stop the worker pool,
-// serialize a final state snapshot (durable servers), and flush the
-// run manifest. No accepted request is dropped and every fold accepted
-// before the listener closed is in the final image. Drain is
-// idempotent only in effect, not in metrics; call it once.
+// every already-queued job to completion, stop the worker pool, and
+// serialize a final state snapshot (durable servers). No accepted
+// request is dropped and every fold accepted before the listener
+// closed is in the final image. Drain is idempotent only in effect,
+// not in metrics; call it once.
 func (s *Server) Drain(ctx context.Context) error {
 	obsDrains.Inc()
 	s.drainMu.Lock()
@@ -316,12 +305,6 @@ func (s *Server) Drain(ctx context.Context) error {
 			shutdownErr = err
 		}
 		if err := s.store.Close(); err != nil && shutdownErr == nil {
-			shutdownErr = err
-		}
-	}
-	if s.cfg.ManifestPath != "" {
-		s.manifest.Finish()
-		if err := s.manifest.Write(s.cfg.ManifestPath); err != nil && shutdownErr == nil {
 			shutdownErr = err
 		}
 	}

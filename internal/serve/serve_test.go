@@ -11,7 +11,6 @@ import (
 	"net/http/httptest"
 	"os"
 	"os/signal"
-	"path/filepath"
 	"strings"
 	"sync"
 	"syscall"
@@ -621,11 +620,10 @@ func TestSubmitAfterDrainRejected(t *testing.T) {
 
 // TestSIGTERMDrainLosesNothing wires the daemon's signal path the way
 // cmd/blud does and checks that a drain triggered while requests are
-// queued behind a busy worker completes every one of them and flushes
-// a valid manifest.
+// queued behind a busy worker completes every one of them. (The run
+// manifest is the command's, written after the drain; obs tests it.)
 func TestSIGTERMDrainLosesNothing(t *testing.T) {
-	manifest := filepath.Join(t.TempDir(), "manifest.json")
-	s := newServer(Config{Workers: 1, QueueDepth: 32, ManifestPath: manifest, Tool: "serve-test"})
+	s := newServer(Config{Workers: 1, QueueDepth: 32})
 	addr, err := s.Listen("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -700,20 +698,5 @@ func TestSIGTERMDrainLosesNothing(t *testing.T) {
 		if err := json.Unmarshal(r.body, &jr); err != nil {
 			t.Fatalf("in-flight response corrupt: %v", err)
 		}
-	}
-
-	data, err := os.ReadFile(manifest)
-	if err != nil {
-		t.Fatalf("manifest not flushed: %v", err)
-	}
-	var m obs.Manifest
-	if err := json.Unmarshal(data, &m); err != nil {
-		t.Fatal(err)
-	}
-	if err := m.Validate(); err != nil {
-		t.Errorf("manifest invalid: %v", err)
-	}
-	if m.Tool != "serve-test" {
-		t.Errorf("manifest tool %q", m.Tool)
 	}
 }
