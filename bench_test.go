@@ -18,6 +18,7 @@ import (
 	"blu/internal/joint"
 	"blu/internal/mcmc"
 	"blu/internal/rng"
+	"blu/internal/topology"
 )
 
 // benchFigure runs one experiment harness per benchmark iteration.
@@ -72,7 +73,7 @@ func inferInstances(b *testing.B, n int) (truths []*blueprint.Topology, meas []*
 	b.Helper()
 	stations := 3 * n / 2
 	for seed := uint64(1); seed <= 8; seed++ {
-		sc, err := blu.NewScenario(blu.ScenarioConfig{NumUEs: n, NumStations: stations}, seed)
+		sc, err := topology.NewScenario(topology.Config{NumUEs: n, NumStations: stations}, rng.New(seed))
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -171,8 +172,12 @@ func BenchmarkJointProb(b *testing.B) {
 func BenchmarkSpeculativeSchedule(b *testing.B) {
 	for _, m := range []int{1, 2, 4} {
 		b.Run(fmt.Sprintf("M=%d", m), func(b *testing.B) {
+			sc, err := blu.NewTestbedScenario(16, 24, 5)
+			if err != nil {
+				b.Fatal(err)
+			}
 			cell, err := blu.NewCell(blu.CellConfig{
-				Scenario:  blu.NewTestbedScenario(16, 24, 5),
+				Scenario:  sc,
 				M:         m,
 				Subframes: 100,
 				Seed:      9,
@@ -199,8 +204,12 @@ func BenchmarkSpeculativeSchedule(b *testing.B) {
 // of the kernels (scratch reuse, flat caches, per-call arena).
 func BenchmarkSchedule(b *testing.B) {
 	const subframes = 100
+	sc, err := blu.NewTestbedScenario(16, 24, 5)
+	if err != nil {
+		b.Fatal(err)
+	}
 	cell, err := blu.NewCell(blu.CellConfig{
-		Scenario:  blu.NewTestbedScenario(16, 24, 5),
+		Scenario:  sc,
 		M:         2,
 		Subframes: subframes,
 		Seed:      9,
@@ -259,8 +268,12 @@ func BenchmarkMeasurementPlan(b *testing.B) {
 func BenchmarkCellConstruction(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
+		sc, err := blu.NewTestbedScenario(8, 12, uint64(i))
+		if err != nil {
+			b.Fatal(err)
+		}
 		if _, err := blu.NewCell(blu.CellConfig{
-			Scenario:  blu.NewTestbedScenario(8, 12, uint64(i)),
+			Scenario:  sc,
 			Subframes: 10000,
 			Seed:      uint64(i),
 		}); err != nil {

@@ -22,21 +22,17 @@
 //     NewSystem runs the full measurement→blueprint→speculative loop
 //     (Fig 9).
 //
-// See examples/quickstart for an end-to-end tour and DESIGN.md for the
-// system inventory.
+// The package Example is an end-to-end tour; DESIGN.md has the system
+// inventory.
 package blu
 
 import (
-	"context"
-
 	"blu/internal/access"
 	"blu/internal/blueprint"
 	"blu/internal/core"
-	"blu/internal/faults"
 	"blu/internal/joint"
 	"blu/internal/lte"
 	"blu/internal/netsim"
-	"blu/internal/rng"
 	"blu/internal/sched"
 	"blu/internal/sim"
 	"blu/internal/topology"
@@ -64,20 +60,10 @@ type (
 // NewClientSet returns the set of the given client indices.
 func NewClientSet(clients ...int) ClientSet { return blueprint.NewClientSet(clients...) }
 
-// NewMeasurements returns zeroed measurements for n clients.
-func NewMeasurements(n int) *Measurements { return blueprint.NewMeasurements(n) }
-
 // Infer blue-prints the hidden-terminal interference topology from
 // pair-wise client access distributions (Section 3.4).
 func Infer(m *Measurements, opts InferOptions) (*InferResult, error) {
 	return blueprint.Infer(m, opts)
-}
-
-// InferContext is Infer with caller-controlled cancellation: a fired
-// context aborts inference promptly with an error matchable against
-// blueprint.ErrAborted; a background context is exactly Infer.
-func InferContext(ctx context.Context, m *Measurements, opts InferOptions) (*InferResult, error) {
-	return blueprint.InferContext(ctx, m, opts)
 }
 
 // InferenceAccuracy scores an inferred topology against ground truth
@@ -93,20 +79,11 @@ type (
 	// Calculator computes them from a blueprint by recursive topology
 	// conditioning.
 	Calculator = joint.Calculator
-	// Empirical estimates them from observed access outcomes.
-	Empirical = joint.Empirical
-	// Independent multiplies marginals (the access-aware baseline's
-	// implicit assumption).
-	Independent = joint.Independent
 )
 
 // NewCalculator returns the conditional joint-distribution calculator
 // over an inferred blueprint.
 func NewCalculator(topo *Topology) *Calculator { return joint.NewCalculator(topo) }
-
-// NewEmpirical returns an empty empirical joint distribution over n
-// clients.
-func NewEmpirical(n int) *Empirical { return joint.NewEmpirical(n) }
 
 // Schedulers (paper Section 3.2).
 type (
@@ -163,8 +140,6 @@ func MeasurementLowerBound(n, k, t int) int { return access.FMin(n, k, t) }
 type (
 	// Scenario is a physical deployment of eNB, UEs and WiFi stations.
 	Scenario = topology.Scenario
-	// ScenarioConfig parameterizes random scenario generation.
-	ScenarioConfig = topology.Config
 	// Cell is a simulated unlicensed-band LTE uplink cell.
 	Cell = sim.Cell
 	// CellConfig parameterizes cell simulation.
@@ -175,10 +150,6 @@ type (
 	Trace = trace.Trace
 	// ReplayConfig parameterizes trace replay.
 	ReplayConfig = sim.ReplayConfig
-	// Schedule is one subframe's uplink allocation.
-	Schedule = lte.Schedule
-	// RBResult is the eNB's receive result for one RB unit.
-	RBResult = lte.RBResult
 	// Outcome classifies a grant's fate (Section 3.3 rules).
 	Outcome = lte.Outcome
 )
@@ -192,13 +163,9 @@ const (
 	OutcomeSuccess   = lte.OutcomeSuccess
 )
 
-// NewScenario generates a random enterprise deployment.
-func NewScenario(cfg ScenarioConfig, seed uint64) (*Scenario, error) {
-	return topology.NewScenario(cfg, rng.New(seed))
-}
-
-// NewTestbedScenario builds the paper's Fig-1-style testbed deployment.
-func NewTestbedScenario(nUE, nHT int, seed uint64) *Scenario {
+// NewTestbedScenario builds the paper's Fig-1-style testbed deployment
+// of nUE UEs in [1, 64] and nHT ≥ 0 WiFi stations.
+func NewTestbedScenario(nUE, nHT int, seed uint64) (*Scenario, error) {
 	return sim.NewTestbedScenario(nUE, nHT, seed)
 }
 
@@ -221,9 +188,6 @@ func RunScheduler(c *Cell, s Scheduler, from, to int) *Metrics {
 // to. Production estimation from scheduled observations is Estimator.
 func EstimateMeasurements(c *Cell) *Measurements { return netsim.MeasureFromMasks(c) }
 
-// LoadTrace reads a trace file.
-func LoadTrace(path string) (*Trace, error) { return trace.Load(path) }
-
 // CombineTraceUEs merges traces into a larger emulated UE topology.
 func CombineTraceUEs(traces ...*Trace) (*Trace, error) { return trace.CombineUEs(traces...) }
 
@@ -239,43 +203,9 @@ type (
 	System = core.System
 	// SystemConfig tunes the controller.
 	SystemConfig = core.Config
-	// Report is a controller run's outcome.
-	Report = core.Report
-	// Phase summarizes one controller phase.
-	Phase = core.Phase
 )
 
 // NewSystem builds the BLU controller for a cell.
 func NewSystem(cfg SystemConfig, cell *Cell) (*System, error) {
 	return core.NewSystem(cfg, cell)
-}
-
-// Fault injection and graceful degradation (robustness layer,
-// DESIGN.md §10).
-type (
-	// FaultScenario is a declarative, seeded fault plan attachable to a
-	// cell via CellConfig.Faults: hidden-terminal churn, measurement
-	// loss/corruption, bursty interference, and inference stalls.
-	FaultScenario = faults.Scenario
-	// FaultChurnConfig parameterizes hidden-terminal churn.
-	FaultChurnConfig = faults.ChurnConfig
-	// FaultBurstConfig parameterizes bursty interference.
-	FaultBurstConfig = faults.BurstConfig
-	// LadderLevel is the controller's degradation rung for a cycle.
-	LadderLevel = core.LadderLevel
-)
-
-// Degradation-ladder rungs, best first.
-const (
-	LadderSpeculative = core.LadderSpeculative
-	LadderAccessAware = core.LadderAccessAware
-	LadderPF          = core.LadderPF
-)
-
-// FaultScenarios lists the built-in fault scenario names.
-func FaultScenarios() []string { return faults.Names() }
-
-// FaultPreset returns a built-in fault scenario sized for a horizon.
-func FaultPreset(name string, horizon int) (FaultScenario, error) {
-	return faults.Preset(name, horizon)
 }

@@ -33,6 +33,14 @@ await_listen() {
   return 1
 }
 
+echo "== gofmt =="
+unformatted="$(gofmt -l .)"
+if [ -n "$unformatted" ]; then
+  echo "ci: gofmt -l lists files that need formatting:" >&2
+  echo "$unformatted" >&2
+  exit 1
+fi
+
 echo "== go vet =="
 go vet ./...
 

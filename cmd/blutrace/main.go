@@ -76,8 +76,8 @@ func genCmd(args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	// NewTestbedScenario divides by the UE count and sizes slices by
-	// both counts before sim.New checks anything.
+	// sim.NewTestbedScenario refuses the same UE and station counts,
+	// but its error names no flag; these checks name the flag.
 	switch {
 	case *ues < 1 || *ues > blueprint.MaxClients:
 		return fmt.Errorf("-ues must be in [1, %d], got %d", blueprint.MaxClients, *ues)
@@ -98,8 +98,12 @@ func genCmd(args []string) error {
 		stations[k].Traffic = wifi.DutyCycle{Target: target}
 		stations[k].Rate = wifi.RateForSNR(12 + 14*r.Float64())
 	}
+	sc, err := sim.NewTestbedScenario(*ues, *hts, *seed)
+	if err != nil {
+		return err
+	}
 	cell, err := sim.New(sim.Config{
-		Scenario:  sim.NewTestbedScenario(*ues, *hts, *seed),
+		Scenario:  sc,
 		Stations:  stations,
 		Subframes: *subframes,
 		Seed:      r.Uint64(),

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"go/ast"
 	"go/build"
+	"go/doc"
 	"go/importer"
 	"go/parser"
 	"go/token"
@@ -42,12 +43,14 @@ var deadExportAllowlist = map[string]string{
 
 // TestNoDeadExports fails when a top-level declaration or method is
 // used by no non-test file of the module (root package, cmd/,
-// examples/, internal/) or of the benchmark under bench/, outside its
-// own declaration. It checks exported declarations in internal/ files
-// and unexported ones in every non-test file outside bench/. A method
-// that satisfies an interface — the module's own or one of the standard
-// library's, such as error or http.Handler — counts as used, and so do
-// main and init.
+// internal/) or of the benchmark under bench/, outside its own
+// declaration. It checks exported declarations in the root package and
+// in internal/, and unexported ones in every non-test file outside
+// bench/. A method that satisfies an interface — the module's own or
+// one of the standard library's, such as error or http.Handler — counts
+// as used, and so do main and init. A root export also counts as used
+// when a root Example that has an output comment, and so is run,
+// selects it as blu.X.
 func TestNoDeadExports(t *testing.T) {
 	dead, err := deadExports(".", "blu")
 	if err != nil {
@@ -72,7 +75,11 @@ func TestNoDeadExports(t *testing.T) {
 // functions, methods and values used by no non-test file; uses from
 // another package, from bench/, through an interface and through
 // generics are not, a self-reference does not count, and bench/'s own
-// unexported code is not checked.
+// unexported code is not checked. In the root package, an export used
+// only by an Example with output is not flagged, whatever the
+// Example's build constraint, and neither is an alias named in a used
+// function's signature; one used only by a Test or by an Example
+// without output is flagged.
 func TestDeadExportsRule(t *testing.T) {
 	root := t.TempDir()
 	files := map[string]string{
@@ -123,6 +130,52 @@ func deadInMain() {}
 func main() { _ = a.Used(); _ = a.Generic(1); _ = a.Box[int]{}.Get() }
 `,
 		"bench/main.go": "package main\n\nimport \"m/internal/a\"\n\nfunc benchHelper() {}\n\nfunc main() { _ = a.BenchOnly() }\n",
+		"m.go": `package m
+
+import "m/internal/a"
+
+type Alias = a.T
+
+func Used() Alias       { return Alias{} }
+func ExampleOnly() int  { return 1 }
+func ArchOnly() int     { return 2 }
+func TestOnlyRoot() int { return 3 }
+func NoOutput() int     { return 4 }
+func Nothing()          {}
+`,
+		"example_test.go": `package m_test
+
+import (
+	"fmt"
+	"testing"
+
+	"m"
+)
+
+func ExampleUsed() {
+	fmt.Println(m.Used(), m.ExampleOnly())
+	// Output: t 1
+}
+
+func ExampleNoOutput() { _ = m.NoOutput() }
+
+func TestRoot(t *testing.T) { _ = m.TestOnlyRoot() }
+`,
+		"example_s390x_test.go": `//go:build s390x
+
+package m_test
+
+import (
+	"fmt"
+
+	"m"
+)
+
+func ExampleArchOnly() {
+	fmt.Println(m.ArchOnly())
+	// Output: 2
+}
+`,
 	}
 	for name, src := range files {
 		path := filepath.Join(root, filepath.FromSlash(name))
@@ -141,7 +194,8 @@ func main() { _ = a.Used(); _ = a.Generic(1); _ = a.Box[int]{}.Get() }
 	for _, d := range dead {
 		got = append(got, d.name)
 	}
-	want := []string{"a.Recursive", "a.T.Helper", "a.TestOnly", "a.Unused", "a.testHelper", "a.u.unusedMethod", "a.unused", "c.deadInMain"}
+	want := []string{"a.Recursive", "a.T.Helper", "a.TestOnly", "a.Unused", "a.testHelper", "a.u.unusedMethod", "a.unused", "c.deadInMain",
+		"m.NoOutput", "m.Nothing", "m.TestOnlyRoot"}
 	if strings.Join(got, " ") != strings.Join(want, " ") {
 		t.Fatalf("flagged %v, want %v", got, want)
 	}
@@ -161,6 +215,11 @@ func deadExports(root, mod string) ([]deadExport, error) {
 	if err != nil {
 		return nil, err
 	}
+	rootPkg := l.pkgs[mod]
+	examples, err := exampleSelections(root, rootPkg.types.Name())
+	if err != nil {
+		return nil, err
+	}
 
 	uses := map[types.Object][]token.Pos{}
 	for _, p := range l.pkgs {
@@ -176,11 +235,12 @@ func deadExports(root, mod string) ([]deadExport, error) {
 		if l.under(path, "bench") {
 			continue
 		}
-		checkExported := l.under(path, "internal")
+		checkExported := l.under(path, "internal") || p == rootPkg
 		for _, f := range p.files {
 			for _, decl := range f.Decls {
 				for _, c := range declared(decl, p.info) {
 					if c.obj.Exported() && !checkExported || exempt(c.obj) ||
+						p == rootPkg && examples[c.obj.Name()] ||
 						usedOutside(uses[c.obj], c.node) || satisfiesInterface(c.obj, ifaces) {
 						continue
 					}
@@ -195,6 +255,42 @@ func deadExports(root, mod string) ([]deadExport, error) {
 	}
 	sort.Slice(dead, func(i, j int) bool { return dead[i].name < dead[j].name })
 	return dead, nil
+}
+
+// exampleSelections returns the names X that the Examples with an
+// output comment in the root directory's test files select as pkg.X.
+// An Example without one is compiled but never run, so it does not
+// count. Every file is parsed whatever its build constraint, so the
+// answer is the same on every GOARCH.
+func exampleSelections(root, pkg string) (map[string]bool, error) {
+	paths, err := filepath.Glob(filepath.Join(root, "*_test.go"))
+	if err != nil {
+		return nil, err
+	}
+	fset := token.NewFileSet()
+	var files []*ast.File
+	for _, path := range paths {
+		f, err := parser.ParseFile(fset, path, nil, parser.ParseComments)
+		if err != nil {
+			return nil, err
+		}
+		files = append(files, f)
+	}
+	selected := map[string]bool{}
+	for _, ex := range doc.Examples(files...) {
+		if ex.Output == "" && !ex.EmptyOutput {
+			continue
+		}
+		ast.Inspect(ex.Code, func(n ast.Node) bool {
+			if sel, ok := n.(*ast.SelectorExpr); ok {
+				if id, ok := sel.X.(*ast.Ident); ok && id.Name == pkg {
+					selected[sel.Sel.Name] = true
+				}
+			}
+			return true
+		})
+	}
+	return selected, nil
 }
 
 // deadOptionAllowlist exempts option fields that only tests set today.

@@ -75,3 +75,87 @@ func ExampleBuildMeasurementPlan() {
 	// bound: 47 subframes
 	// within 2x of bound: true
 }
+
+// ExampleNewEstimator turns the access outcomes of an Algorithm-1
+// measurement plan into the measurements inference takes. A hidden
+// terminal that is busy in every third subframe silences clients 0
+// and 1 together, so they are blocked jointly: p(0,1) = p(0) = p(1).
+func ExampleNewEstimator() {
+	const n = 6
+	plan, err := blu.BuildMeasurementPlan(blu.MeasurementPlanOptions{N: n, K: 3, T: 6})
+	if err != nil {
+		fmt.Println(err)
+		return
+	}
+	est := blu.NewEstimator(n)
+	for sf, clients := range plan.Subframes {
+		accessed := blu.NewClientSet(clients...)
+		if sf%3 == 0 {
+			accessed = accessed.Remove(0).Remove(1)
+		}
+		est.Record(clients, accessed)
+	}
+	m := est.Measurements()
+	fmt.Printf("%d subframes (F_min = %d)\n", plan.TMax(), blu.MeasurementLowerBound(n, 3, 6))
+	fmt.Printf("p(0) = %.2f, p(1) = %.2f, p(0,1) = %.2f\n", m.P[0], m.P[1], m.Pair(0, 1))
+	fmt.Printf("p(2) = %.2f, p(0,2) = %.2f\n", m.P[2], m.Pair(0, 2))
+	// Output:
+	// 30 subframes (F_min = 30)
+	// p(0) = 0.67, p(1) = 0.67, p(0,1) = 0.67
+	// p(2) = 1.00, p(0,2) = 0.67
+}
+
+// ExampleCombineTraceUEs emulates larger networks from recorded traces
+// (paper Section 4.2): two 4-UE recordings become one 8-UE cell, and a
+// third recording's WiFi stations are overlaid on a fourth's UEs.
+func ExampleCombineTraceUEs() {
+	var traces []*blu.Trace
+	for seed := uint64(1); seed <= 4; seed++ {
+		sc, err := blu.NewTestbedScenario(4, 6, seed)
+		if err != nil {
+			fmt.Println(err)
+			return
+		}
+		cell, err := blu.NewCell(blu.CellConfig{Scenario: sc, Subframes: 2000, Seed: seed})
+		if err != nil {
+			fmt.Println(err)
+			return
+		}
+		traces = append(traces, cell.Export(fmt.Sprintf("recording %d", seed)))
+	}
+	wide, err := blu.CombineTraceUEs(traces[0], traces[1])
+	if err != nil {
+		fmt.Println(err)
+		return
+	}
+	replay, err := blu.NewCellFromTrace(wide, blu.ReplayConfig{M: 2})
+	if err != nil {
+		fmt.Println(err)
+		return
+	}
+	fmt.Printf("combined UEs: %d UEs, %d stations; replayed cell has %d UEs\n",
+		wide.NumUE, len(wide.Interference), replay.NumUE())
+	dense, err := blu.CombineTraceInterference(traces[2], traces[3])
+	if err != nil {
+		fmt.Println(err)
+		return
+	}
+	fmt.Printf("combined interference: %d UEs, %d stations\n", dense.NumUE, len(dense.Interference))
+	// Output:
+	// combined UEs: 8 UEs, 12 stations; replayed cell has 8 UEs
+	// combined interference: 4 UEs, 12 stations
+}
+
+// ExampleOutcome names the fates of a grant; Metrics.Outcomes counts
+// a run's grants by them.
+func ExampleOutcome() {
+	for _, o := range []blu.Outcome{blu.OutcomeIdle, blu.OutcomeBlocked, blu.OutcomeCollision, blu.OutcomeFading, blu.OutcomeSuccess} {
+		fmt.Println(o)
+	}
+	// Output:
+	// idle
+	// blocked
+	// collision
+	// fading
+	// success
+}

@@ -87,15 +87,15 @@ func driveWindow(w *Window, r *rng.Source, ops, sealEvery int) {
 // folds and seals.
 func TestWindowExportImportRingPositions(t *testing.T) {
 	cases := []struct {
-		name               string
-		n, capacity        int
-		ops, sealEvery     int
+		name                string
+		n, capacity         int
+		ops, sealEvery      int
 		extraOps, extraSeal int
 	}{
 		{"partial", 5, 8, 12, 5, 9, 4},
-		{"exactly-full", 4, 4, 20, 5, 7, 3},   // live == capacity, no eviction yet
-		{"post-evict", 6, 3, 40, 4, 13, 2},    // ring wrapped, evictions happened
-		{"single-epoch", 3, 1, 9, 3, 5, 2},    // every seal evicts
+		{"exactly-full", 4, 4, 20, 5, 7, 3}, // live == capacity, no eviction yet
+		{"post-evict", 6, 3, 40, 4, 13, 2},  // ring wrapped, evictions happened
+		{"single-epoch", 3, 1, 9, 3, 5, 2},  // every seal evicts
 		{"never-sealed", 7, 6, 15, 0, 6, 0},
 	}
 	for _, c := range cases {
@@ -162,7 +162,7 @@ func TestImportWindowRejectsInvalid(t *testing.T) {
 		return w.Export()
 	}
 	cases := []struct {
-		name  string
+		name   string
 		break_ func(*WindowState)
 	}{
 		{"nil-everything", func(st *WindowState) { *st = WindowState{} }},

@@ -22,8 +22,12 @@ func chaosTestCell(t *testing.T, nUE, nHT, sfs int, seed uint64, sc *faults.Scen
 	for k := range stations {
 		stations[k].Traffic = wifi.DutyCycle{Target: 0.35}
 	}
+	scenario, err := sim.NewTestbedScenario(nUE, nHT, seed)
+	if err != nil {
+		t.Fatal(err)
+	}
 	cell, err := sim.New(sim.Config{
-		Scenario:  sim.NewTestbedScenario(nUE, nHT, seed),
+		Scenario:  scenario,
 		Stations:  stations,
 		Subframes: sfs,
 		Faults:    sc,

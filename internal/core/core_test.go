@@ -22,8 +22,12 @@ func testCell(t *testing.T, nUE, nHT, sfs int, seed uint64) *sim.Cell {
 	for k := range stations {
 		stations[k].Traffic = wifi.DutyCycle{Target: 0.35}
 	}
+	sc, err := sim.NewTestbedScenario(nUE, nHT, seed)
+	if err != nil {
+		t.Fatal(err)
+	}
 	cell, err := sim.New(sim.Config{
-		Scenario:  sim.NewTestbedScenario(nUE, nHT, seed),
+		Scenario:  sc,
 		Stations:  stations,
 		Subframes: sfs,
 		Seed:      seed,

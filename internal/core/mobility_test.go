@@ -17,8 +17,12 @@ func mobilityCell(t *testing.T, sfs, at int, seed uint64) *sim.Cell {
 	for k := range stations {
 		stations[k].Traffic = wifi.DutyCycle{Target: 0.4}
 	}
+	sc, err := sim.NewTestbedScenario(6, nHT, seed)
+	if err != nil {
+		t.Fatal(err)
+	}
 	cell, err := sim.New(sim.Config{
-		Scenario:   sim.NewTestbedScenario(6, nHT, seed),
+		Scenario:   sc,
 		Stations:   stations,
 		Subframes:  sfs,
 		MobilityAt: at,

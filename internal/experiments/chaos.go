@@ -103,8 +103,12 @@ func chaosCell(nUE, nHT, m, subframes int, seed uint64, sc *faults.Scenario) (*s
 		stations[k].Traffic = wifi.DutyCycle{Target: 0.25 + 0.3*r.Float64()}
 		stations[k].Rate = wifi.RateForSNR(12 + 14*r.Float64())
 	}
+	scenario, err := sim.NewTestbedScenario(nUE, nHT, seed)
+	if err != nil {
+		return nil, err
+	}
 	return sim.New(sim.Config{
-		Scenario:  sim.NewTestbedScenario(nUE, nHT, seed),
+		Scenario:  scenario,
 		Stations:  stations,
 		M:         m,
 		Subframes: subframes,

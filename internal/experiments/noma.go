@@ -35,8 +35,12 @@ func NOMA(opts Options) (*Table, error) {
 			for k := range stations {
 				stations[k].Traffic = wifi.DutyCycle{Target: 0.25 + 0.3*r.Float64()}
 			}
+			sc, err := sim.NewTestbedScenario(nUE, nHT, opts.Seed+uint64(hPerUE))
+			if err != nil {
+				return nil, err
+			}
 			cell, err := sim.New(sim.Config{
-				Scenario:  sim.NewTestbedScenario(nUE, nHT, opts.Seed+uint64(hPerUE)),
+				Scenario:  sc,
 				Stations:  stations,
 				M:         1,
 				NOMA:      noma,

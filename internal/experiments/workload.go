@@ -26,8 +26,12 @@ func testbedCellDuty(nUE, nHT, m, subframes int, seed uint64, dutyLo, dutyHi flo
 		stations[k].Traffic = wifi.DutyCycle{Target: dutyLo + (dutyHi-dutyLo)*r.Float64()}
 		stations[k].Rate = wifi.RateForSNR(12 + 14*r.Float64())
 	}
+	sc, err := sim.NewTestbedScenario(nUE, nHT, seed)
+	if err != nil {
+		return nil, err
+	}
 	return sim.New(sim.Config{
-		Scenario:  sim.NewTestbedScenario(nUE, nHT, seed),
+		Scenario:  sc,
 		Stations:  stations,
 		M:         m,
 		Subframes: subframes,

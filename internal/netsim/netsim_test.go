@@ -84,8 +84,12 @@ func TestRunBatchWorkersDeterministic(t *testing.T) {
 }
 
 func TestMeasureFromMasksConsistent(t *testing.T) {
+	sc, err := sim.NewTestbedScenario(6, 9, 71)
+	if err != nil {
+		t.Fatal(err)
+	}
 	cell, err := sim.New(sim.Config{
-		Scenario:  sim.NewTestbedScenario(6, 9, 71),
+		Scenario:  sc,
 		Subframes: 5000,
 		Seed:      71,
 	})
@@ -175,8 +179,12 @@ func measureFromMasksReference(cell *sim.Cell) *blueprint.Measurements {
 
 func TestMeasureFromMasksMatchesReference(t *testing.T) {
 	for _, seed := range []uint64{71, 72} {
+		sc, err := sim.NewTestbedScenario(8, 12, seed)
+		if err != nil {
+			t.Fatal(err)
+		}
 		cell, err := sim.New(sim.Config{
-			Scenario:  sim.NewTestbedScenario(8, 12, seed),
+			Scenario:  sc,
 			Subframes: 4000,
 			Seed:      seed,
 		})

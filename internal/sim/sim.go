@@ -506,7 +506,17 @@ func (c *Cell) Step(sf int, schedule *lte.Schedule) []lte.RBResult {
 // station is sensed within ≈32 m, so stations sit ≈40 m from the eNB
 // (hidden from it) and ≈25 m from their anchor UE (sensed by it), with
 // jitter so each station blocks a different subset of UEs.
-func NewTestbedScenario(nUE, nHT int, seed uint64) *topology.Scenario {
+//
+// It refuses nUE outside [1, blueprint.MaxClients] and a negative nHT,
+// which would otherwise panic here: both counts size slices, and
+// stations are anchored to UEs round-robin.
+func NewTestbedScenario(nUE, nHT int, seed uint64) (*topology.Scenario, error) {
+	if nUE < 1 || nUE > blueprint.MaxClients {
+		return nil, fmt.Errorf("sim: testbed UE count %d outside [1, %d]", nUE, blueprint.MaxClients)
+	}
+	if nHT < 0 {
+		return nil, fmt.Errorf("sim: testbed station count %d is negative", nHT)
+	}
 	r := rng.New(seed)
 	floor := geom.Floor{Width: 140, Height: 140}
 	enb := floor.Center()
@@ -524,5 +534,5 @@ func NewTestbedScenario(nUE, nHT int, seed uint64) *topology.Scenario {
 			Y: enb.Y + dy*scale + r.NormFloat64()*4,
 		}
 	}
-	return topology.Manual(enb, ues, stations, r.Split("shadow"))
+	return topology.Manual(enb, ues, stations, r.Split("shadow")), nil
 }

@@ -16,8 +16,12 @@ func (c *Cell) Airtime(k int) float64 { return c.airtime[k] }
 
 func testCell(t *testing.T, nUE, nHT, m, sfs int, seed uint64) *Cell {
 	t.Helper()
+	sc, err := NewTestbedScenario(nUE, nHT, seed)
+	if err != nil {
+		t.Fatal(err)
+	}
 	cell, err := New(Config{
-		Scenario:  NewTestbedScenario(nUE, nHT, seed),
+		Scenario:  sc,
 		M:         m,
 		Subframes: sfs,
 		Seed:      seed,
@@ -31,6 +35,19 @@ func testCell(t *testing.T, nUE, nHT, m, sfs int, seed uint64) *Cell {
 func TestNewValidation(t *testing.T) {
 	if _, err := New(Config{}); err == nil {
 		t.Error("missing scenario accepted")
+	}
+}
+
+func TestTestbedScenarioRefusesBadSizes(t *testing.T) {
+	for _, c := range []struct{ nUE, nHT int }{
+		{0, 5}, {-1, 5}, {4, -1}, {blueprint.MaxClients + 1, 5},
+	} {
+		if sc, err := NewTestbedScenario(c.nUE, c.nHT, 1); err == nil {
+			t.Errorf("NewTestbedScenario(%d, %d) = %d UEs, want an error", c.nUE, c.nHT, len(sc.UEs))
+		}
+	}
+	if _, err := NewTestbedScenario(blueprint.MaxClients, 0, 1); err != nil {
+		t.Errorf("largest cell with no stations refused: %v", err)
 	}
 }
 
@@ -191,8 +208,12 @@ func TestPerfectDistributionMatchesMasks(t *testing.T) {
 }
 
 func TestBurstSubframesShareCCA(t *testing.T) {
+	sc, err := NewTestbedScenario(4, 8, 13)
+	if err != nil {
+		t.Fatal(err)
+	}
 	cell, err := New(Config{
-		Scenario:       NewTestbedScenario(4, 8, 13),
+		Scenario:       sc,
 		Subframes:      999,
 		BurstSubframes: 3,
 		Seed:           13,
@@ -212,7 +233,10 @@ func TestBurstSubframesShareCCA(t *testing.T) {
 func TestSharedMediumReducesAirtime(t *testing.T) {
 	// Stations in one contention domain share the channel; their summed
 	// airtime cannot exceed ~1, unlike independent generation.
-	sc := NewTestbedScenario(4, 4, 77)
+	sc, err := NewTestbedScenario(4, 4, 77)
+	if err != nil {
+		t.Fatal(err)
+	}
 	// Co-locate all stations so they form one domain.
 	for k := 1; k < len(sc.Stations); k++ {
 		sc.Stations[k] = sc.Stations[0].Add(float64(k), 0)

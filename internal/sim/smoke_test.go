@@ -8,7 +8,10 @@ import (
 )
 
 func TestSmokeSchedulers(t *testing.T) {
-	sc := NewTestbedScenario(8, 12, 42)
+	sc, err := NewTestbedScenario(8, 12, 42)
+	if err != nil {
+		t.Fatal(err)
+	}
 	stations := make([]wifi.Station, 12)
 	for k := range stations {
 		stations[k].Traffic = wifi.DutyCycle{Target: 0.35}
