@@ -1,5 +1,5 @@
 // Benchmarks regenerating every table and figure of the paper's
-// evaluation (one benchmark per figure, run at reduced scale so the
+// evaluation (one benchmark per sweep, run at reduced scale so the
 // suite stays tractable — use cmd/blusim for paper-scale runs), plus
 // micro-benchmarks of the core algorithms.
 //
@@ -21,45 +21,41 @@ import (
 	"blu/internal/topology"
 )
 
-// benchFigure runs one experiment harness per benchmark iteration.
-func benchFigure(b *testing.B, id string, scale float64) {
+// benchFigure runs one sweep per benchmark iteration through
+// experiments.Run, rendering every table that reads it (or one
+// hand-written experiment's table).
+func benchFigure(b *testing.B, scale float64, ids ...string) {
 	b.Helper()
-	runner := experiments.Registry()[id]
-	if runner == nil {
-		b.Fatalf("unknown experiment %s", id)
-	}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		table, err := runner(experiments.Options{Seed: uint64(i + 1), Scale: scale})
+		err := experiments.Run(experiments.Options{Seed: uint64(i + 1), Scale: scale}, ids, func(t *experiments.Table) error {
+			if len(t.Rows) == 0 {
+				return fmt.Errorf("%s: empty table", t.ID)
+			}
+			return nil
+		})
 		if err != nil {
 			b.Fatal(err)
-		}
-		if len(table.Rows) == 0 {
-			b.Fatal("empty table")
 		}
 	}
 }
 
-func BenchmarkFig04a(b *testing.B) { benchFigure(b, "fig4a", 0.1) }
-func BenchmarkFig04b(b *testing.B) { benchFigure(b, "fig4b", 0.1) }
-func BenchmarkFig04c(b *testing.B) { benchFigure(b, "fig4c", 0.1) }
-func BenchmarkFig10(b *testing.B)  { benchFigure(b, "fig10", 0.05) }
-func BenchmarkFig11(b *testing.B)  { benchFigure(b, "fig11", 0.05) }
-func BenchmarkFig12(b *testing.B)  { benchFigure(b, "fig12", 0.05) }
-func BenchmarkFig13(b *testing.B)  { benchFigure(b, "fig13", 0.05) }
-func BenchmarkFig14a(b *testing.B) { benchFigure(b, "fig14a", 0.05) }
-func BenchmarkFig14b(b *testing.B) { benchFigure(b, "fig14b", 0.05) }
-func BenchmarkFig15(b *testing.B)  { benchFigure(b, "fig15", 0.05) }
-func BenchmarkFig16(b *testing.B)  { benchFigure(b, "fig16", 0.05) }
-func BenchmarkFig17(b *testing.B)  { benchFigure(b, "fig17", 0.05) }
-func BenchmarkFig18(b *testing.B)  { benchFigure(b, "fig18", 0.05) }
+func BenchmarkFig04a(b *testing.B) { benchFigure(b, 0.1, "fig4a", "fig4b") }
+func BenchmarkFig04c(b *testing.B) { benchFigure(b, 0.1, "fig4c") }
+func BenchmarkFig10(b *testing.B)  { benchFigure(b, 0.05, "fig10", "fig12") }
+func BenchmarkFig11(b *testing.B)  { benchFigure(b, 0.05, "fig11", "fig13") }
+func BenchmarkFig14a(b *testing.B) { benchFigure(b, 0.05, "fig14a") }
+func BenchmarkFig14b(b *testing.B) { benchFigure(b, 0.05, "fig14b") }
+func BenchmarkFig15(b *testing.B)  { benchFigure(b, 0.05, "fig15") }
+func BenchmarkFig16(b *testing.B)  { benchFigure(b, 0.05, "fig16") }
+func BenchmarkFig17(b *testing.B)  { benchFigure(b, 0.05, "fig17", "fig18") }
 
-func BenchmarkMeasurementOverhead(b *testing.B) { benchFigure(b, "overhead", 1) }
-func BenchmarkAblationInference(b *testing.B)   { benchFigure(b, "ablation", 0.15) }
-func BenchmarkDLAccessAware(b *testing.B)       { benchFigure(b, "dl", 0.1) }
-func BenchmarkSkewedTriples(b *testing.B)       { benchFigure(b, "skewed", 0.15) }
-func BenchmarkFairness(b *testing.B)            { benchFigure(b, "fairness", 0.1) }
-func BenchmarkFractionalImpact(b *testing.B)    { benchFigure(b, "fractional", 0.2) }
+func BenchmarkMeasurementOverhead(b *testing.B) { benchFigure(b, 1, "overhead") }
+func BenchmarkAblationInference(b *testing.B)   { benchFigure(b, 0.15, "ablation") }
+func BenchmarkDLAccessAware(b *testing.B)       { benchFigure(b, 0.1, "dl") }
+func BenchmarkSkewedTriples(b *testing.B)       { benchFigure(b, 0.15, "skewed") }
+func BenchmarkFairness(b *testing.B)            { benchFigure(b, 0.1, "fairness") }
+func BenchmarkFractionalImpact(b *testing.B)    { benchFigure(b, 0.2, "fractional") }
 
 // inferInstances draws a pool of enterprise-floor deployments (n UEs,
 // 3n/2 WiFi stations, airtime ~ U[0.1,0.5]) and returns each one's

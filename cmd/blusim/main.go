@@ -2,9 +2,10 @@
 //
 // Usage:
 //
-//	blusim list                 # show available experiments
-//	blusim all [flags]          # run every experiment in order
-//	blusim fig15 [flags]        # run one experiment
+//	blusim list                   # show available experiments
+//	blusim [flags] all            # run every experiment in order
+//	blusim [flags] fig15          # run one experiment
+//	blusim [flags] fig17 fig18    # run several; a shared sweep runs once
 //
 // Flags:
 //
@@ -49,7 +50,7 @@ func run(args []string) error {
 	faultList := fs.String("faults", "", "comma-separated fault scenarios for the chaos experiment (empty = all presets)")
 	rf := obs.AddRunFlags(fs)
 	fs.Usage = func() {
-		fmt.Fprintln(fs.Output(), "usage: blusim [flags] <experiment|all|list>")
+		fmt.Fprintln(fs.Output(), "usage: blusim [flags] <experiment...|all|list>")
 		fs.PrintDefaults()
 		fmt.Fprintln(fs.Output(), "experiments:", experiments.IDs())
 	}
@@ -60,13 +61,28 @@ func run(args []string) error {
 		fs.Usage()
 		return fmt.Errorf("no experiment given")
 	}
+	// Options would quietly turn these into the paper-scale run and
+	// seed 1, while the manifest records what was asked for.
+	if !(*scale > 0 && *scale <= 1) {
+		return fmt.Errorf("-scale must be in (0, 1], got %v", *scale)
+	}
+	if *seed == 0 {
+		return fmt.Errorf("-seed must be >= 1, got 0")
+	}
+	ids := fs.Args()
+	switch ids[0] {
+	case "list":
+		for _, id := range experiments.IDs() {
+			fmt.Println(id)
+		}
+		return nil
+	case "all":
+		ids = experiments.IDs()
+	}
 	man, err := rf.Start(args)
 	if err != nil {
 		return err
 	}
-	opts := experiments.Options{Seed: *seed, Scale: *scale, Parallelism: *par, Faults: *faultList}
-	reg := experiments.Registry()
-
 	if man != nil {
 		man.Seed = *seed
 		man.Config = map[string]any{
@@ -76,39 +92,17 @@ func run(args []string) error {
 			"faults":   *faultList,
 		}
 	}
-
-	switch cmd := fs.Arg(0); cmd {
-	case "list":
-		for _, id := range experiments.IDs() {
-			fmt.Println(id)
-		}
+	opts := experiments.Options{Seed: *seed, Scale: *scale, Parallelism: *par, Faults: *faultList}
+	start := time.Now()
+	err = experiments.Run(opts, ids, func(table *experiments.Table) error {
+		man.AddPhase(table.ID, table.Title, time.Since(start))
+		table.Fprint(os.Stdout)
+		fmt.Printf("(%s in %.1fs)\n\n", table.ID, time.Since(start).Seconds())
+		start = time.Now()
 		return nil
-	case "all":
-		for _, id := range experiments.IDs() {
-			if err := runOne(reg, id, opts, man); err != nil {
-				return err
-			}
-		}
-	default:
-		if err := runOne(reg, cmd, opts, man); err != nil {
-			return err
-		}
+	})
+	if err != nil {
+		return err
 	}
 	return rf.Finish()
-}
-
-func runOne(reg map[string]experiments.Runner, id string, opts experiments.Options, man *obs.Manifest) error {
-	runner, ok := reg[id]
-	if !ok {
-		return fmt.Errorf("unknown experiment %q (try: blusim list)", id)
-	}
-	start := time.Now()
-	table, err := runner(opts)
-	if err != nil {
-		return fmt.Errorf("%s: %w", id, err)
-	}
-	man.AddPhase(id, table.Title, time.Since(start))
-	table.Fprint(os.Stdout)
-	fmt.Printf("(%s in %.1fs)\n\n", id, time.Since(start).Seconds())
-	return nil
 }

@@ -14,6 +14,7 @@ import (
 	"path/filepath"
 	"sort"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -52,7 +53,11 @@ var deadExportAllowlist = map[string]string{
 // when a root Example that has an output comment, and so is run,
 // selects it as blu.X.
 func TestNoDeadExports(t *testing.T) {
-	dead, err := deadExports(".", "blu")
+	l, err := thisModule()
+	if err != nil {
+		t.Fatal(err)
+	}
+	dead, err := deadExports(l)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -186,7 +191,11 @@ func ExampleArchOnly() {
 			t.Fatal(err)
 		}
 	}
-	dead, err := deadExports(root, "m")
+	l, err := loadModule(root, "m")
+	if err != nil {
+		t.Fatal(err)
+	}
+	dead, err := deadExports(l)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -206,17 +215,12 @@ type deadExport struct {
 	pos  token.Position
 }
 
-// deadExports type-checks the non-test files of the module at root
-// (import path mod) and of its bench/ directory, and returns the
-// declarations the rule above flags, sorted by name. A symbol is named
-// by its package directory, so cmd/bluload's run is bluload.run.
-func deadExports(root, mod string) ([]deadExport, error) {
-	l, err := loadModule(root, mod)
-	if err != nil {
-		return nil, err
-	}
-	rootPkg := l.pkgs[mod]
-	examples, err := exampleSelections(root, rootPkg.types.Name())
+// deadExports returns the declarations of the loaded module that the
+// rule above flags, sorted by name. A symbol is named by its package
+// directory, so cmd/bluload's run is bluload.run.
+func deadExports(l *moduleLoader) ([]deadExport, error) {
+	rootPkg := l.pkgs[l.mod]
+	examples, err := exampleSelections(l.root, rootPkg.types.Name())
 	if err != nil {
 		return nil, err
 	}
@@ -318,7 +322,11 @@ var deadOptionAllowlist = map[string]string{
 // key, an assignment, or taking the field's address; a method named
 // withDefaults filling in a default does not count.
 func TestNoDeadOptions(t *testing.T) {
-	dead, err := deadOptions(".", "blu")
+	l, err := thisModule()
+	if err != nil {
+		t.Fatal(err)
+	}
+	dead, err := deadOptions(l)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -391,7 +399,11 @@ func main() { _ = a.New(1); _ = a.Pair(); _ = a.Other{} }
 			t.Fatal(err)
 		}
 	}
-	dead, err := deadOptions(root, "m")
+	l, err := loadModule(root, "m")
+	if err != nil {
+		t.Fatal(err)
+	}
+	dead, err := deadOptions(l)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -405,13 +417,9 @@ func main() { _ = a.New(1); _ = a.Pair(); _ = a.Other{} }
 	}
 }
 
-// deadOptions loads the module as deadExports does and returns the
-// option fields the rule above flags, sorted by name.
-func deadOptions(root, mod string) ([]deadExport, error) {
-	l, err := loadModule(root, mod)
-	if err != nil {
-		return nil, err
-	}
+// deadOptions returns the option fields of the loaded module that the
+// rule above flags, sorted by name.
+func deadOptions(l *moduleLoader) ([]deadExport, error) {
 
 	written := map[types.Object]bool{}
 	for _, p := range l.pkgs {
@@ -464,7 +472,7 @@ func deadOptions(root, mod string) ([]deadExport, error) {
 		for _, name := range scope.Names() {
 			tn, ok := scope.Lookup(name).(*types.TypeName)
 			checked := strings.HasSuffix(name, "Config") || strings.HasSuffix(name, "Options") ||
-				path == mod+"/internal/serve" && name == "InferOptionsWire"
+				path == l.mod+"/internal/serve" && name == "InferOptionsWire"
 			if !ok || !tn.Exported() || !checked {
 				continue
 			}
@@ -482,6 +490,10 @@ func deadOptions(root, mod string) ([]deadExport, error) {
 	sort.Slice(dead, func(i, j int) bool { return dead[i].name < dead[j].name })
 	return dead, nil
 }
+
+// thisModule is this repository's module, loaded and type-checked once
+// for every gate that reads it.
+var thisModule = sync.OnceValues(func() (*moduleLoader, error) { return loadModule(".", "blu") })
 
 // loadModule type-checks the non-test files of the module at root
 // (import path mod) and of its bench/ directory.

@@ -1,21 +1,35 @@
 package experiments
 
-import (
-	"blu/internal/joint"
-	"blu/internal/lte"
-	"blu/internal/sched"
-	"blu/internal/sim"
-)
+import "blu/internal/sim"
 
-// DL reproduces the Section 3.7 "Applicability to DL Access"
-// discussion: on the downlink, hidden terminals corrupt the scheduled
-// UEs' reception (collisions) instead of wasting grants, and while
-// over-scheduling transmissions is impossible, blueprint-driven
-// access-aware scheduling (Eqn 5) steers DL allocations toward clients
-// whose interferers are likely idle, reducing collisions and raising
-// efficiency.
-func DL(opts Options) (*Table, error) {
-	opts = opts.withDefaults()
+// dlSweep is the Section 3.7 "Applicability to DL Access" cell: 8 UEs,
+// a growing hidden-terminal count, native PF versus access-aware
+// scheduling over the downlink-clean marginals. Light airtimes: the
+// whole 1 ms DL subframe is exposed, so even modest duty cycles already
+// produce heavy collision rates.
+func dlSweep(o Options) *sweep {
+	sfs := o.scaled(6000, 1200)
+	return &sweep{
+		points: len(dlHTs),
+		seed:   func(x, _ int) uint64 { return o.Seed + uint64(dlHTs[x]) },
+		cell: func(x int, seed uint64) (*sim.Cell, error) {
+			return testbedCellDuty(8, dlHTs[x], 1, sfs, seed, 0.05, 0.2, nil)
+		},
+		subframes: sfs,
+		downlink:  true,
+		arms:      []arm{pf, aa(dlClean)},
+	}
+}
+
+var dlHTs = []int{4, 8, 12}
+
+// dlTable reproduces the Section 3.7 discussion: on the downlink,
+// hidden terminals corrupt the scheduled UEs' reception (collisions)
+// instead of wasting grants, and while over-scheduling transmissions
+// is impossible, blueprint-driven access-aware scheduling (Eqn 5)
+// steers DL allocations toward clients whose interferers are likely
+// idle, reducing collisions and raising efficiency.
+func dlTable(_ Options, res *result) *Table {
 	t := &Table{
 		ID:      "dl",
 		Title:   "Downlink: PF vs blueprint-driven access-aware scheduling",
@@ -24,51 +38,13 @@ func DL(opts Options) (*Table, error) {
 			"shape: access-aware scheduling cuts DL collisions and yields modest throughput gains (no over-scheduling is possible on DL)",
 		},
 	}
-	sfs := opts.scaled(6000, 1200)
-	for _, nHT := range []int{4, 8, 12} {
-		// Light airtimes: the whole 1 ms DL subframe is exposed, so
-		// even modest duty cycles already produce heavy collision
-		// rates.
-		cell, err := testbedCellDuty(8, nHT, 1, sfs, opts.Seed+uint64(nHT), 0.05, 0.2)
-		if err != nil {
-			return nil, err
-		}
-		env := cell.Env()
-		pf, err := sched.NewPF(env)
-		if err != nil {
-			return nil, err
-		}
-		pfM := sim.RunDL(cell, pf, 0, sfs)
-
-		// Access-aware DL: the blueprint supplies the interference
-		// structure; the per-client DL-clean marginals are what HARQ
-		// NACK-rate feedback measures at the eNB.
-		p := make([]float64, cell.NumUE())
-		for i := range p {
-			p[i] = cell.DLCleanProb(i)
-		}
-		aa, err := sched.NewAccessAware(env, &joint.Independent{P: p})
-		if err != nil {
-			return nil, err
-		}
-		aaM := sim.RunDL(cell, aa, 0, sfs)
-
+	for x, nHT := range dlHTs {
+		pfM, aaM := res.at(x, 0).Metrics, res.at(x, 1).Metrics
 		t.AddRow(
 			nHT,
 			pfM.ThroughputMbps, aaM.ThroughputMbps, aaM.GainOver(pfM),
 			collisionRate(pfM), collisionRate(aaM),
 		)
 	}
-	return t, nil
-}
-
-func collisionRate(m *sim.Metrics) float64 {
-	total := 0
-	for _, c := range m.Outcomes {
-		total += c
-	}
-	if total == 0 {
-		return 0
-	}
-	return float64(m.Outcomes[lte.OutcomeCollision]) / float64(total)
+	return t
 }

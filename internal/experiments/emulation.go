@@ -3,51 +3,31 @@ package experiments
 import (
 	"fmt"
 
-	"blu/internal/blueprint"
-	"blu/internal/joint"
-	"blu/internal/netsim"
-	"blu/internal/sched"
 	"blu/internal/sim"
 )
 
-// runThree runs PF, AA, and BLU (speculative) over the same cell with
-// the given joint distribution source and returns their metrics.
-func runThree(cell *sim.Cell, dist joint.Distribution, sfs int) (pf, aa, blu *sim.Metrics, err error) {
-	env := cell.Env()
-	p, err := sched.NewPF(env)
-	if err != nil {
-		return nil, nil, nil, err
+// perfectSweep is Fig 15's single 24-UE SISO cell: PF, and AA and BLU
+// over the joint distributions computed directly from the traces.
+func perfectSweep(o Options) *sweep {
+	sfs := o.scaled(6000, 1500)
+	return &sweep{
+		points: 1,
+		seed:   func(_, _ int) uint64 { return o.Seed },
+		cell: func(_ int, seed uint64) (*sim.Cell, error) {
+			return emulatedCell(24, 1, sfs, seed)
+		},
+		subframes: sfs,
+		arms:      []arm{pf, aa(perfect), blu(perfect)},
 	}
-	a, err := sched.NewAccessAware(env, dist)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	b, err := sched.NewSpeculative(env, dist)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	pf = sim.Run(cell, p, 0, sfs, nil)
-	aa = sim.Run(cell, a, 0, sfs, nil)
-	blu = sim.Run(cell, b, 0, sfs, nil)
-	return pf, aa, blu, nil
 }
 
-// Fig15 reproduces Fig 15: LTE SISO throughput of PF, AA, and BLU with
+// fig15 reproduces Fig 15: LTE SISO throughput of PF, AA, and BLU with
 // *perfect knowledge* of the joint access distributions (computed
 // directly from the traces), 24 UEs, up to 10 UEs per subframe. The
 // paper reports 3.8 / 3.5 / 6.8 Mbps — BLU 1.8–1.9× over both, which
 // isolates the speculative scheduler from inference error.
-func Fig15(opts Options) (*Table, error) {
-	opts = opts.withDefaults()
-	sfs := opts.scaled(6000, 1500)
-	cell, err := emulatedCell(24, 1, sfs, opts.Seed)
-	if err != nil {
-		return nil, err
-	}
-	pf, aa, blu, err := runThree(cell, cell.PerfectDistribution(), sfs)
-	if err != nil {
-		return nil, err
-	}
+func fig15(_ Options, res *result) *Table {
+	pf, aa, blu := res.at(0, 0), res.at(0, 1), res.at(0, 2)
 	t := &Table{
 		ID:      "fig15",
 		Title:   "SISO throughput, perfect joint-access knowledge (24 UEs, K=10)",
@@ -57,31 +37,34 @@ func Fig15(opts Options) (*Table, error) {
 		},
 	}
 	t.AddRow("PF", pf.ThroughputMbps, 1.0)
-	t.AddRow("AA", aa.ThroughputMbps, aa.GainOver(pf))
-	t.AddRow("BLU", blu.ThroughputMbps, blu.GainOver(pf))
-	return t, nil
+	t.AddRow("AA", aa.ThroughputMbps, aa.GainOver(pf.Metrics))
+	t.AddRow("BLU", blu.ThroughputMbps, blu.GainOver(pf.Metrics))
+	return t
 }
 
-// inferredDistribution derives BLU's production distribution: estimate
-// pair-wise measurements from the cell's access trace, infer the
-// blueprint, and build the conditional calculator over it.
-func inferredDistribution(cell *sim.Cell, seed uint64) (*joint.Calculator, *blueprint.InferResult, error) {
-	meas := netsim.MeasureFromMasks(cell)
-	inf, err := blueprint.Infer(meas, blueprint.InferOptions{Seed: seed, Tolerance: 0.03})
-	if err != nil {
-		return nil, nil, err
+// ueSweep is Fig 16's SISO cells of 8, 16 and 24 UEs: PF, and BLU on
+// the inferred and on the perfect distribution.
+func ueSweep(o Options) *sweep {
+	sfs := o.scaled(6000, 1500)
+	return &sweep{
+		points: len(sweepUEs),
+		seed:   func(x, _ int) uint64 { return o.Seed + uint64(sweepUEs[x]) },
+		cell: func(x int, seed uint64) (*sim.Cell, error) {
+			return emulatedCell(sweepUEs[x], 1, sfs, seed)
+		},
+		subframes: sfs,
+		arms:      []arm{pf, blu(inferred), blu(perfect)},
 	}
-	return joint.NewCalculator(inf.Topology), inf, nil
 }
 
-// Fig16 reproduces Fig 16: SISO throughput versus the number of UEs
+var sweepUEs = []int{8, 16, 24}
+
+// fig16 reproduces Fig 16: SISO throughput versus the number of UEs
 // when BLU runs on its *inferred* topology (Section 3.6 higher-order
 // distributions) instead of trace oracles. The paper's point: gains
 // stay close to the perfect-knowledge 1.8× at 24 UEs and grow with the
 // UE count.
-func Fig16(opts Options) (*Table, error) {
-	opts = opts.withDefaults()
-	sfs := opts.scaled(6000, 1500)
+func fig16(_ Options, res *result) *Table {
 	t := &Table{
 		ID:      "fig16",
 		Title:   "SISO throughput vs number of UEs (BLU on inferred topology)",
@@ -90,57 +73,36 @@ func Fig16(opts Options) (*Table, error) {
 			"shape: inferred ~= perfect; gain grows with UE count toward ~1.8x",
 		},
 	}
-	ues := []int{8, 16, 24}
-	type row struct{ pf, inf, perf *sim.Metrics }
-	rows := make([]row, len(ues))
-	err := opts.forEachTrial(len(ues), func(i int) error {
-		nUE := ues[i]
-		cell, err := emulatedCell(nUE, 1, sfs, opts.Seed+uint64(nUE))
-		if err != nil {
-			return err
-		}
-		env := cell.Env()
-		pfSched, err := sched.NewPF(env)
-		if err != nil {
-			return err
-		}
-		pf := sim.Run(cell, pfSched, 0, sfs, nil)
-
-		calc, _, err := inferredDistribution(cell, opts.Seed)
-		if err != nil {
-			return err
-		}
-		bluInf, err := sched.NewSpeculative(env, calc)
-		if err != nil {
-			return err
-		}
-		mInf := sim.Run(cell, bluInf, 0, sfs, nil)
-
-		bluPerf, err := sched.NewSpeculative(env, cell.PerfectDistribution())
-		if err != nil {
-			return err
-		}
-		mPerf := sim.Run(cell, bluPerf, 0, sfs, nil)
-		rows[i] = row{pf: pf, inf: mInf, perf: mPerf}
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	for i, nUE := range ues {
-		pf, mInf, mPerf := rows[i].pf, rows[i].inf, rows[i].perf
+	for x, nUE := range sweepUEs {
+		pf, mInf, mPerf := res.at(x, 0).Metrics, res.at(x, 1), res.at(x, 2)
 		t.AddRow(nUE, pf.ThroughputMbps, mInf.ThroughputMbps, mPerf.ThroughputMbps,
 			mInf.GainOver(pf), mPerf.GainOver(pf))
 	}
-	return t, nil
+	return t
 }
 
-// Fig17 reproduces Fig 17: throughput gain over PF at 24 UEs as the
+// mimoSweep is the 24-UE cell of Figs 17 and 18 at MU-MIMO order
+// M ∈ {1, 2, 4}: PF, AA and BLU on the inferred blueprint. Fig 17 reads
+// its throughput, Fig 18 its RB utilization.
+func mimoSweep(o Options) *sweep {
+	sfs := o.scaled(5000, 1200)
+	return &sweep{
+		points: len(sweepMs),
+		seed:   func(x, _ int) uint64 { return o.Seed + uint64(sweepMs[x])*7 },
+		cell: func(x int, seed uint64) (*sim.Cell, error) {
+			return emulatedCell(24, sweepMs[x], sfs, seed)
+		},
+		subframes: sfs,
+		arms:      []arm{pf, aa(inferred), blu(inferred)},
+	}
+}
+
+var sweepMs = []int{1, 2, 4}
+
+// fig17 reproduces Fig 17: throughput gain over PF at 24 UEs as the
 // MU-MIMO order M grows (1, 2, 4). The paper reports BLU's gain rising
 // to ~2× at M=4 while AA stays near 1×.
-func Fig17(opts Options) (*Table, error) {
-	opts = opts.withDefaults()
-	sfs := opts.scaled(5000, 1200)
+func fig17(_ Options, res *result) *Table {
 	t := &Table{
 		ID:      "fig17",
 		Title:   "Throughput gain over PF vs MU-MIMO order (24 UEs)",
@@ -149,43 +111,18 @@ func Fig17(opts Options) (*Table, error) {
 			"shape: BLU's gain grows with M (more DoF at risk), AA stays ~1x",
 		},
 	}
-	ms := []int{1, 2, 4}
-	type row struct{ pf, aa, blu *sim.Metrics }
-	rows := make([]row, len(ms))
-	err := opts.forEachTrial(len(ms), func(i int) error {
-		m := ms[i]
-		cell, err := emulatedCell(24, m, sfs, opts.Seed+uint64(m)*7)
-		if err != nil {
-			return err
-		}
-		calc, _, err := inferredDistribution(cell, opts.Seed)
-		if err != nil {
-			return err
-		}
-		pf, aa, blu, err := runThree(cell, calc, sfs)
-		if err != nil {
-			return err
-		}
-		rows[i] = row{pf: pf, aa: aa, blu: blu}
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	for i, m := range ms {
-		pf, aa, blu := rows[i].pf, rows[i].aa, rows[i].blu
+	for x, m := range sweepMs {
+		pf, aa, blu := res.at(x, 0).Metrics, res.at(x, 1), res.at(x, 2)
 		t.AddRow(m, pf.ThroughputMbps, aa.GainOver(pf), blu.GainOver(pf))
 	}
-	return t, nil
+	return t
 }
 
-// Fig18 reproduces Fig 18: average RB utilization per subframe for PF,
-// AA, and BLU in SISO and MU-MIMO. The paper reports conventional
-// scheduling leaving roughly half the assigned RBs idle, BLU nearly
-// doubling utilization, and AA unable to improve it.
-func Fig18(opts Options) (*Table, error) {
-	opts = opts.withDefaults()
-	sfs := opts.scaled(5000, 1200)
+// fig18 reproduces Fig 18: average RB utilization per subframe for PF,
+// AA, and BLU in SISO and MU-MIMO, on Fig 17's runs. The paper reports
+// conventional scheduling leaving roughly half the assigned RBs idle,
+// BLU nearly doubling utilization, and AA unable to improve it.
+func fig18(_ Options, res *result) *Table {
 	t := &Table{
 		ID:      "fig18",
 		Title:   "Average RB utilization per subframe (24 UEs)",
@@ -194,40 +131,14 @@ func Fig18(opts Options) (*Table, error) {
 			"shape: PF leaves ~half the RBs idle; BLU ~2x PF; AA does not improve utilization",
 		},
 	}
-	ms := []int{1, 2, 4}
-	type row struct{ pf, aa, blu *sim.Metrics }
-	rows := make([]row, len(ms))
-	err := opts.forEachTrial(len(ms), func(i int) error {
-		m := ms[i]
-		cell, err := emulatedCell(24, m, sfs, opts.Seed+uint64(m)*11)
-		if err != nil {
-			return err
-		}
-		calc, _, err := inferredDistribution(cell, opts.Seed)
-		if err != nil {
-			return err
-		}
-		pf, aa, blu, err := runThree(cell, calc, sfs)
-		if err != nil {
-			return err
-		}
-		rows[i] = row{pf: pf, aa: aa, blu: blu}
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	for i, m := range ms {
-		pf, aa, blu := rows[i].pf, rows[i].aa, rows[i].blu
-		gain := 0.0
-		if pf.RBUtilization > 0 {
-			gain = blu.RBUtilization / pf.RBUtilization
-		}
+	for x, m := range sweepMs {
+		pf, aa, blu := res.at(x, 0), res.at(x, 1), res.at(x, 2)
 		label := "SISO"
 		if m > 1 {
 			label = fmt.Sprintf("MU-MIMO M=%d", m)
 		}
-		t.AddRow(label, pf.RBUtilization, aa.RBUtilization, blu.RBUtilization, gain)
+		t.AddRow(label, pf.RBUtilization, aa.RBUtilization, blu.RBUtilization,
+			ratio(blu.RBUtilization, pf.RBUtilization))
 	}
-	return t, nil
+	return t
 }

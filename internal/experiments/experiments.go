@@ -1,7 +1,9 @@
 // Package experiments contains one reproduction harness per table and
-// figure of the paper's evaluation (Sections 2.2 and 4). Each harness
-// builds its workload, runs the relevant schedulers/inference, and
-// returns a Table whose rows mirror the series the paper plots.
+// figure of the paper's evaluation (Sections 2.2 and 4), run through
+// Run. Each returns a Table whose rows mirror the series the paper
+// plots. Most tables render from a sweep (sweep.go): a grid of
+// simulated cells with schedulers run on each, shared by every table
+// that reads the same simulations. The rest are hand-written runners.
 //
 // Absolute numbers differ from the paper's (the substrate is a
 // simulator, not a WARP testbed); the quantities each harness is
@@ -12,6 +14,7 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"slices"
 	"strings"
 
 	"blu/internal/parallel"
@@ -137,44 +140,52 @@ func (t *Table) String() string {
 	return b.String()
 }
 
-// Runner is the registry signature every experiment implements.
-type Runner func(Options) (*Table, error)
-
-// experimentTable lists every experiment once, in run order.
-var experimentTable = []struct {
-	id  string
-	run Runner
-}{
-	{"fig4a", Fig4a},
-	{"fig4b", Fig4b},
-	{"fig4c", Fig4c},
-	{"fig10", Fig10},
-	{"fig11", Fig11},
-	{"fig12", Fig12},
-	{"fig13", Fig13},
-	{"fig14a", Fig14a},
-	{"fig14b", Fig14b},
-	{"fig15", Fig15},
-	{"fig16", Fig16},
-	{"fig17", Fig17},
-	{"fig18", Fig18},
-	{"overhead", Overhead},
-	{"ablation", Ablation},
-	{"dl", DL},
-	{"skewed", Skewed},
-	{"noma", NOMA},
-	{"fairness", Fairness},
-	{"fractional", Fractional},
-	{"chaos", Chaos},
+// experiment is one table: table renders it from the sweep named
+// sweep (a key of sweeps), or run produces it by hand.
+type experiment struct {
+	id    string
+	sweep string
+	table func(Options, *result) *Table
+	run   func(Options) (*Table, error)
 }
 
-// Registry maps experiment IDs to their runners.
-func Registry() map[string]Runner {
-	reg := make(map[string]Runner, len(experimentTable))
-	for _, e := range experimentTable {
-		reg[e.id] = e.run
-	}
-	return reg
+// sweeps declares every shared simulation grid by name.
+var sweeps = map[string]func(Options) *sweep{
+	"motivation": motivationSweep,
+	"testbed-1":  func(o Options) *sweep { return testbedSweep(o, 1) },
+	"testbed-2":  func(o Options) *sweep { return testbedSweep(o, 2) },
+	"perfect":    perfectSweep,
+	"ues":        ueSweep,
+	"mimo":       mimoSweep,
+	"dl":         dlSweep,
+	"noma":       nomaSweep,
+	"fairness":   fairnessSweep,
+	"chaos":      chaosSweep,
+}
+
+// experimentTable lists every experiment once, in run order.
+var experimentTable = []experiment{
+	{id: "fig4a", sweep: "motivation", table: fig4a},
+	{id: "fig4b", sweep: "motivation", table: fig4b},
+	{id: "fig4c", run: fig4c},
+	{id: "fig10", sweep: "testbed-1", table: fig10},
+	{id: "fig11", sweep: "testbed-2", table: fig11},
+	{id: "fig12", sweep: "testbed-1", table: fig12},
+	{id: "fig13", sweep: "testbed-2", table: fig13},
+	{id: "fig14a", run: fig14a},
+	{id: "fig14b", run: fig14b},
+	{id: "fig15", sweep: "perfect", table: fig15},
+	{id: "fig16", sweep: "ues", table: fig16},
+	{id: "fig17", sweep: "mimo", table: fig17},
+	{id: "fig18", sweep: "mimo", table: fig18},
+	{id: "overhead", run: overhead},
+	{id: "ablation", run: ablation},
+	{id: "dl", sweep: "dl", table: dlTable},
+	{id: "skewed", run: skewed},
+	{id: "noma", sweep: "noma", table: nomaTable},
+	{id: "fairness", sweep: "fairness", table: fairnessTable},
+	{id: "fractional", run: fractional},
+	{id: "chaos", sweep: "chaos", table: chaosTable},
 }
 
 // IDs returns the experiment identifiers in run order.
@@ -184,4 +195,47 @@ func IDs() []string {
 		ids[i] = e.id
 	}
 	return ids
+}
+
+// Run runs the experiments named by ids and passes each table to emit as
+// soon as it is ready, in run order whatever the order of ids. A sweep
+// runs at most once per call: every table that reads it renders from
+// that one run, so a table is the same whether it runs alone or with
+// the others.
+func Run(opts Options, ids []string, emit func(*Table) error) error {
+	for _, id := range ids {
+		if !slices.Contains(IDs(), id) {
+			return fmt.Errorf("unknown experiment %q (known: %s)", id, strings.Join(IDs(), " "))
+		}
+	}
+	opts = opts.withDefaults()
+	ran := map[string]*result{}
+	for _, e := range experimentTable {
+		if !slices.Contains(ids, e.id) {
+			continue
+		}
+		tbl, err := e.build(opts, ran)
+		if err != nil {
+			return fmt.Errorf("%s: %w", e.id, err)
+		}
+		if err := emit(tbl); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// build produces e's table, running its sweep unless ran holds it.
+func (e experiment) build(opts Options, ran map[string]*result) (*Table, error) {
+	if e.run != nil {
+		return e.run(opts)
+	}
+	if ran[e.sweep] == nil {
+		res, err := sweeps[e.sweep](opts).run(opts)
+		if err != nil {
+			return nil, err
+		}
+		ran[e.sweep] = res
+	}
+	return e.table(opts, ran[e.sweep]), nil
 }

@@ -3,13 +3,29 @@ package experiments
 import (
 	"math"
 
-	"blu/internal/core"
-	"blu/internal/sched"
 	"blu/internal/sim"
-	"blu/internal/stats"
 )
 
-// Fairness checks the claim of Section 3.2 that BLU's speculative
+// fairnessSweep is the 8-UE SISO testbed over 1–3 hidden terminals per
+// UE and several placements: PF versus the full BLU controller.
+func fairnessSweep(o Options) *sweep {
+	const nUE = 8
+	sfs := o.scaled(8000, 1600)
+	return &sweep{
+		points: len(densities),
+		reps:   o.scaled(4, 2),
+		seed: func(x, p int) uint64 {
+			return o.Seed + uint64(densities[x])*211 + uint64(p)*17
+		},
+		cell: func(x int, seed uint64) (*sim.Cell, error) {
+			return testbedCell(nUE, densities[x]*nUE, 1, sfs, seed)
+		},
+		subframes: sfs,
+		arms:      []arm{pf, controller(sfs)},
+	}
+}
+
+// fairnessTable checks the claim of Section 3.2 that BLU's speculative
 // scheduler increases utilization "while still adhering to the PF
 // principle". Proportional fairness maximizes Σ log R_i, not bit-level
 // evenness, so the right check is the PF objective itself: BLU should
@@ -18,8 +34,7 @@ import (
 // it is expected to dip (heavily-blocked clients simply cannot receive
 // as much in unlicensed spectrum, and over-scheduling amplifies the
 // delivered-bits spread without violating the log-utility objective).
-func Fairness(opts Options) (*Table, error) {
-	opts = opts.withDefaults()
+func fairnessTable(_ Options, res *result) *Table {
 	t := &Table{
 		ID:      "fairness",
 		Title:   "PF-principle adherence: Jain index and PF log-utility",
@@ -28,57 +43,14 @@ func Fairness(opts Options) (*Table, error) {
 			"shape: BLU's PF utility (Σ log R_i) beats the PF scheduler's own — utilization gains are not bought by starving clients",
 		},
 	}
-	const nUE = 8
-	sfs := opts.scaled(8000, 1600)
-	placements := opts.scaled(4, 2)
-	densities := []int{1, 2, 3}
-	// One task per (density, placement) trial, slots row-major by
-	// density.
-	type trial struct{ pfJ, bluJ, pfW, bluW float64 }
-	trials := make([]trial, len(densities)*placements)
-	err := opts.forEachTrial(len(trials), func(i int) error {
-		hPerUE, p := densities[i/placements], i%placements
-		seed := opts.Seed + uint64(hPerUE)*211 + uint64(p)*17
-		cell, err := testbedCell(nUE, hPerUE*nUE, 1, sfs, seed)
-		if err != nil {
-			return err
-		}
-		pf, err := sched.NewPF(cell.Env())
-		if err != nil {
-			return err
-		}
-		pfm := sim.Run(cell, pf, 0, sfs, nil)
-
-		sys, err := core.NewSystem(core.Config{T: 40, L: sfs}, cell)
-		if err != nil {
-			return err
-		}
-		rep, err := sys.Run()
-		if err != nil {
-			return err
-		}
-		trials[i] = trial{
-			pfJ:  pfm.JainFairness,
-			bluJ: rep.Speculative.JainFairness,
-			pfW:  logUtility(pfm.BitsPerUE, sfs),
-			bluW: logUtility(rep.Speculative.BitsPerUE, rep.SpeculativeSubframes),
-		}
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
+	// The controller's metrics cover its speculative subframes only, so
+	// each arm's rates are over the subframes its metrics span.
+	jain := func(m outcome) float64 { return m.JainFairness }
+	utility := func(m outcome) float64 { return logUtility(m.BitsPerUE, m.Subframes) }
 	for d, hPerUE := range densities {
-		var pfJ, bluJ, pfW, bluW []float64
-		for _, tr := range trials[d*placements : (d+1)*placements] {
-			pfJ = append(pfJ, tr.pfJ)
-			bluJ = append(bluJ, tr.bluJ)
-			pfW = append(pfW, tr.pfW)
-			bluW = append(bluW, tr.bluW)
-		}
-		t.AddRow(hPerUE, stats.Mean(pfJ), stats.Mean(bluJ), stats.Mean(pfW), stats.Mean(bluW))
+		t.AddRow(hPerUE, res.mean(d, 0, jain), res.mean(d, 1, jain), res.mean(d, 0, utility), res.mean(d, 1, utility))
 	}
-	return t, nil
+	return t
 }
 
 // logUtility is the proportional-fair objective Σ_i log(R_i), with R_i

@@ -6,7 +6,7 @@ import (
 	"blu/internal/stats"
 )
 
-// Fractional stress-tests the Section 3.5 "Interference Impact"
+// fractional stress-tests the Section 3.5 "Interference Impact"
 // assumption: BLU's blueprint models a hidden terminal's effect on a
 // client as binary {0,1}, while fading can make the real effect
 // fractional — a client senses a marginal terminal only some of the
@@ -16,8 +16,7 @@ import (
 // access-probability error degrade as the spread grows. The paper
 // argues the resulting sub-optimality is confined to the affected
 // clients; the access-probability error staying small is that claim.
-func Fractional(opts Options) (*Table, error) {
-	opts = opts.withDefaults()
+func fractional(opts Options) (*Table, error) {
 	t := &Table{
 		ID:      "fractional",
 		Title:   "Binary-impact assumption under fractional (fading) interference",

@@ -6,16 +6,14 @@ import (
 	"blu/internal/blueprint"
 	"blu/internal/netsim"
 	"blu/internal/stats"
-	"blu/internal/trace"
 )
 
-// Fig14a reproduces Fig 14(a): the CDF of BLU's topology-inference
+// fig14a reproduces Fig 14(a): the CDF of BLU's topology-inference
 // accuracy on testbed-scale trace topologies, for growing UE counts
 // built by trace combination (Section 4.2.1). The paper reports 100%
 // accuracy for ~70% of cases, >90% for 90% of cases, and medians near
 // 100% regardless of UE count.
-func Fig14a(opts Options) (*Table, error) {
-	opts = opts.withDefaults()
+func fig14a(opts Options) (*Table, error) {
 	t := &Table{
 		ID:      "fig14a",
 		Title:   "Topology inference accuracy CDF (testbed traces, combined topologies)",
@@ -41,16 +39,9 @@ func Fig14a(opts Options) (*Table, error) {
 		return nil, err
 	}
 	for g, nUE := range groups {
-		ga := accs[g*perGroup : (g+1)*perGroup]
-		med, err := stats.Median(ga)
-		if err != nil {
+		if err := addAccuracyRow(t, nUE, accs[g*perGroup:(g+1)*perGroup]); err != nil {
 			return nil, err
 		}
-		p10, err := stats.Percentile(ga, 10)
-		if err != nil {
-			return nil, err
-		}
-		t.AddRow(nUE, perGroup, med, p10, frac(ga, 1.0), frac(ga, 0.9))
 	}
 	return t, nil
 }
@@ -59,21 +50,7 @@ func Fig14a(opts Options) (*Table, error) {
 // larger topology, estimates measurements from the replayed access
 // masks, infers, and returns the accuracy.
 func inferCombinedTopology(nUE int, seed uint64) (float64, error) {
-	const baseUEs = 8
-	var traces []*trace.Trace
-	for shift := 0; shift < nUE; shift += baseUEs {
-		ues := min(baseUEs, nUE-shift)
-		cell, err := testbedCell(ues, ues+ues/2, 1, 30000, seed+uint64(shift)*31)
-		if err != nil {
-			return 0, err
-		}
-		traces = append(traces, cell.Export(fmt.Sprintf("part-%d", shift)))
-	}
-	combined, err := trace.CombineUEs(traces...)
-	if err != nil {
-		return 0, err
-	}
-	replay, err := simFromTrace(combined)
+	replay, err := combinedCell(nUE, 1, 30000, seed, 31, 0.25, 0.55)
 	if err != nil {
 		return 0, err
 	}
@@ -85,10 +62,9 @@ func inferCombinedTopology(nUE int, seed uint64) (float64, error) {
 	return blueprint.Accuracy(replay.GroundTruth(), inf.Topology), nil
 }
 
-// Fig14b reproduces Fig 14(b): inference accuracy over large randomized
+// fig14b reproduces Fig 14(b): inference accuracy over large randomized
 // NS3-style topologies with 5–25 UEs and WiFi nodes.
-func Fig14b(opts Options) (*Table, error) {
-	opts = opts.withDefaults()
+func fig14b(opts Options) (*Table, error) {
 	batch := netsim.BatchConfig{
 		Topologies: opts.scaled(300, 20),
 		Subframes:  opts.scaled(20000, 4000),
@@ -114,30 +90,31 @@ func Fig14b(opts Options) (*Table, error) {
 		all = append(all, r.Accuracy)
 	}
 	for _, nodes := range []int{5, 10, 15, 20, 25} {
-		accs := byNodes[nodes]
-		if len(accs) == 0 {
-			continue
+		if accs := byNodes[nodes]; len(accs) > 0 {
+			if err := addAccuracyRow(t, fmt.Sprintf("%d nodes", nodes), accs); err != nil {
+				return nil, err
+			}
 		}
-		med, err := stats.Median(accs)
-		if err != nil {
-			return nil, err
-		}
-		p10, err := stats.Percentile(accs, 10)
-		if err != nil {
-			return nil, err
-		}
-		t.AddRow(fmt.Sprintf("%d nodes", nodes), len(accs), med, p10, frac(accs, 1.0), frac(accs, 0.9))
 	}
-	med, err := stats.Median(all)
-	if err != nil {
+	if err := addAccuracyRow(t, "all", all); err != nil {
 		return nil, err
 	}
-	p10, err := stats.Percentile(all, 10)
-	if err != nil {
-		return nil, err
-	}
-	t.AddRow("all", len(all), med, p10, frac(all, 1.0), frac(all, 0.9))
 	return t, nil
+}
+
+// addAccuracyRow appends one accuracy-CDF row: the case count, median,
+// 10th percentile, and the shares inferred perfectly and at ≥ 0.9.
+func addAccuracyRow(t *Table, label any, accs []float64) error {
+	med, err := stats.Median(accs)
+	if err != nil {
+		return err
+	}
+	p10, err := stats.Percentile(accs, 10)
+	if err != nil {
+		return err
+	}
+	t.AddRow(label, len(accs), med, p10, frac(accs, 1.0), frac(accs, 0.9))
+	return nil
 }
 
 // frac returns the fraction of xs at or above threshold.

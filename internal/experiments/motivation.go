@@ -5,18 +5,34 @@ import (
 
 	"blu/internal/geom"
 	"blu/internal/rng"
-	"blu/internal/sched"
 	"blu/internal/sim"
 	"blu/internal/stats"
 	"blu/internal/topology"
 )
 
-// Fig4a reproduces Fig 4a: the loss in uplink subframe (RB) utilization
+// motivationSweep is the 8-UE cell of Figs 4a and 4b under native PF:
+// every hidden-terminal count at OFDMA (M = 1) and 2-user MU-MIMO, point
+// x = (hidden terminals motivationHTs[x/2], M = x%2 + 1).
+func motivationSweep(o Options) *sweep {
+	sfs := o.scaled(4000, 400)
+	return &sweep{
+		points: 2 * len(motivationHTs),
+		seed:   func(x, _ int) uint64 { return o.Seed + uint64(motivationHTs[x/2]) },
+		cell: func(x int, seed uint64) (*sim.Cell, error) {
+			return testbedCell(8, motivationHTs[x/2], x%2+1, sfs, seed)
+		},
+		subframes: sfs,
+		arms:      []arm{pf},
+	}
+}
+
+var motivationHTs = []int{0, 2, 4, 6, 8, 12}
+
+// fig4a reproduces Fig 4a: the loss in uplink subframe (RB) utilization
 // under the native PF scheduler as the number of hidden terminals
 // grows, for an 8-client cell. The paper reports losses scaling with
 // the hidden-terminal count and exceeding 50% even with few terminals.
-func Fig4a(opts Options) (*Table, error) {
-	opts = opts.withDefaults()
+func fig4a(_ Options, res *result) *Table {
 	t := &Table{
 		ID:      "fig4a",
 		Title:   "UL spectrum (RB) utilization loss vs hidden terminals (8 UEs, PF, OFDMA)",
@@ -25,36 +41,17 @@ func Fig4a(opts Options) (*Table, error) {
 			"shape: loss grows with hidden terminals; >50% within a few HTs",
 		},
 	}
-	sfs := opts.scaled(4000, 400)
-	hts := []int{0, 2, 4, 6, 8, 12}
-	utils := make([]float64, len(hts))
-	err := opts.forEachTrial(len(hts), func(i int) error {
-		nHT := hts[i]
-		cell, err := testbedCell(8, nHT, 1, sfs, opts.Seed+uint64(nHT))
-		if err != nil {
-			return err
-		}
-		pf, err := sched.NewPF(cell.Env())
-		if err != nil {
-			return err
-		}
-		utils[i] = sim.Run(cell, pf, 0, sfs, nil).RBUtilization
-		return nil
-	})
-	if err != nil {
-		return nil, err
+	for i, nHT := range motivationHTs {
+		util := res.at(2*i, 0).RBUtilization
+		t.AddRow(nHT, util, 100*(1-util))
 	}
-	for i, nHT := range hts {
-		t.AddRow(nHT, utils[i], 100*(1-utils[i]))
-	}
-	return t, nil
+	return t
 }
 
-// Fig4b reproduces Fig 4b: the fraction of completely occupied uplink
+// fig4b reproduces Fig 4b: the fraction of completely occupied uplink
 // subframes (every granted RB utilized) under PF for OFDMA multi-user
 // access and 2-user MU-MIMO, versus hidden terminals.
-func Fig4b(opts Options) (*Table, error) {
-	opts = opts.withDefaults()
+func fig4b(_ Options, res *result) *Table {
 	t := &Table{
 		ID:      "fig4b",
 		Title:   "Fraction of fully occupied subframes vs hidden terminals (8 UEs, PF)",
@@ -63,39 +60,17 @@ func Fig4b(opts Options) (*Table, error) {
 			"shape: full occupancy collapses as hidden terminals increase; MU-MIMO suffers at least as much",
 		},
 	}
-	sfs := opts.scaled(4000, 400)
-	hts := []int{0, 2, 4, 6, 8, 12}
-	ms := []int{1, 2}
-	// One task per (hidden-terminal count, MU-MIMO order) cell.
-	fracs := make([]float64, len(hts)*len(ms))
-	err := opts.forEachTrial(len(fracs), func(i int) error {
-		nHT, m := hts[i/len(ms)], ms[i%len(ms)]
-		cell, err := testbedCell(8, nHT, m, sfs, opts.Seed+uint64(nHT))
-		if err != nil {
-			return err
-		}
-		pf, err := sched.NewPF(cell.Env())
-		if err != nil {
-			return err
-		}
-		fracs[i] = sim.Run(cell, pf, 0, sfs, nil).FullyUtilizedSubframes
-		return nil
-	})
-	if err != nil {
-		return nil, err
+	for i, nHT := range motivationHTs {
+		t.AddRow(nHT, res.at(2*i, 0).FullyUtilizedSubframes, res.at(2*i+1, 0).FullyUtilizedSubframes)
 	}
-	for i, nHT := range hts {
-		t.AddRow(nHT, fracs[i*len(ms)], fracs[i*len(ms)+1])
-	}
-	return t, nil
+	return t
 }
 
-// Fig4c reproduces Fig 4c: the increase in unsensed interferers when a
+// fig4c reproduces Fig 4c: the increase in unsensed interferers when a
 // WiFi cell (preamble carrier sensing at −85 dBm) is replaced by an LTE
 // cell (energy detection at −70 dBm) in an otherwise WiFi environment.
 // The paper reports an increase of well over 2×.
-func Fig4c(opts Options) (*Table, error) {
-	opts = opts.withDefaults()
+func fig4c(opts Options) (*Table, error) {
 	t := &Table{
 		ID:      "fig4c",
 		Title:   "Unsensed interferers per client: WiFi cell vs LTE cell",
@@ -130,10 +105,6 @@ func Fig4c(opts Options) (*Table, error) {
 		return nil, err
 	}
 	wm, lm := stats.Mean(wifiAll), stats.Mean(lteAll)
-	ratio := 0.0
-	if wm > 0 {
-		ratio = lm / wm
-	}
-	t.AddRow(fmt.Sprintf("enterprise x%d", runs), wm, lm, ratio)
+	t.AddRow(fmt.Sprintf("enterprise x%d", runs), wm, lm, ratio(lm, wm))
 	return t, nil
 }

@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"fmt"
 	"time"
 
 	"blu/internal/access"
@@ -11,14 +10,13 @@ import (
 	"blu/internal/stats"
 )
 
-// Overhead reproduces the Section 3.3/3.7 measurement-overhead
+// overhead reproduces the Section 3.3/3.7 measurement-overhead
 // analysis: Algorithm 1's schedule length t_max against the pair-wise
 // lower bound F_min, and the exponential cost of measuring k-client
 // joint distributions directly that BLU avoids. The paper's anchor
 // numbers: t_max ≈ 340 subframes for N=20, T=50, K=8, versus ≈1384·T
 // subframes for all 6-client joints in the same cell.
-func Overhead(opts Options) (*Table, error) {
-	opts = opts.withDefaults()
+func overhead(opts Options) (*Table, error) {
 	t := &Table{
 		ID:      "overhead",
 		Title:   "Measurement overhead: Algorithm 1 vs bounds (T samples per tuple)",
@@ -40,20 +38,14 @@ func Overhead(opts Options) (*Table, error) {
 		}
 		fmin := access.FMin(c.n, c.k, c.t)
 		joint6 := access.JointOverhead(c.n, c.k, 6, c.t)
-		ratio := 0.0
-		if fmin > 0 {
-			ratio = float64(plan.TMax()) / float64(fmin)
-		}
-		t.AddRow(c.n, c.k, c.t, fmin, plan.TMax(), ratio, joint6)
+		t.AddRow(c.n, c.k, c.t, fmin, plan.TMax(), ratio(float64(plan.TMax()), float64(fmin)), joint6)
 	}
 	return t, nil
 }
 
-// Ablation compares the design choices DESIGN.md calls out:
-// deterministic constraint-repair inference versus the MCMC baseline
-// (accuracy and wall time), and the over-scheduling factor f.
-func Ablation(opts Options) (*Table, error) {
-	opts = opts.withDefaults()
+// ablation compares deterministic constraint-repair inference with the
+// MCMC baseline on random ground truths: accuracy and wall time.
+func ablation(opts Options) (*Table, error) {
 	t := &Table{
 		ID:      "ablation",
 		Title:   "Inference ablation: deterministic constraint-repair vs MCMC",
@@ -103,7 +95,7 @@ func Ablation(opts Options) (*Table, error) {
 		return nil, err
 	}
 	t.AddRow("constraint-repair", stats.Mean(detAcc), detMed, stats.Mean(detMS))
-	t.AddRow(fmt.Sprintf("mcmc (20k iters)"), stats.Mean(mcAcc), mcMed, stats.Mean(mcMS))
+	t.AddRow("mcmc (20k iters)", stats.Mean(mcAcc), mcMed, stats.Mean(mcMS))
 	return t, nil
 }
 

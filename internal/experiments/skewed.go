@@ -6,15 +6,14 @@ import (
 	"blu/internal/stats"
 )
 
-// Skewed reproduces the Section 3.5 "Skewed Topologies" discussion:
+// skewed reproduces the Section 3.5 "Skewed Topologies" discussion:
 // when hidden terminals heavily outnumber clients, several topologies
 // satisfy the observed pair-wise distributions and inference accuracy
 // degrades; adding third-order (triplet) access distributions restores
 // identifiability. Ground truths here are synthetic skewed blueprints
 // (h up to ~2.5N overlapping terminals) measured exactly, isolating the
 // identifiability question from sampling noise.
-func Skewed(opts Options) (*Table, error) {
-	opts = opts.withDefaults()
+func skewed(opts Options) (*Table, error) {
 	t := &Table{
 		ID:      "skewed",
 		Title:   "Skewed topologies: pair-wise-only vs +triplet inference accuracy",

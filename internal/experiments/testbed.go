@@ -1,96 +1,60 @@
 package experiments
 
-import (
-	"blu/internal/core"
-	"blu/internal/sched"
-	"blu/internal/sim"
-	"blu/internal/stats"
-)
+import "blu/internal/sim"
 
-// testbedGains runs the testbed experiment of Section 4.1 for a given
+// testbedSweep is the testbed experiment of Section 4.1 for a given
 // antenna count: 4 UEs, a growing number of hidden terminals per UE,
 // multiple placements, PF versus the full BLU pipeline (measurement →
-// blueprint → speculative scheduling).
-func testbedGains(opts Options, m int, id, title string, utilization bool) (*Table, error) {
-	opts = opts.withDefaults()
+// blueprint → speculative scheduling). Figs 10 and 12 read its SISO
+// runs, Figs 11 and 13 its MU-MIMO ones.
+func testbedSweep(o Options, m int) *sweep {
+	const nUE = 4
+	sfs := o.scaled(6000, 1200)
+	return &sweep{
+		points: len(densities),
+		reps:   o.scaled(5, 2),
+		seed: func(x, p int) uint64 {
+			return o.Seed + uint64(densities[x])*1000 + uint64(p)*13
+		},
+		cell: func(x int, seed uint64) (*sim.Cell, error) {
+			return testbedCell(nUE, densities[x]*nUE, m, sfs, seed)
+		},
+		subframes: sfs,
+		arms:      []arm{pf, controller(sfs)},
+	}
+}
+
+// densities are the hidden terminals per UE of the testbed sweeps:
+// Figs 10–13, noma and fairness.
+var densities = []int{1, 2, 3}
+
+// testbedGains renders a testbed sweep as PF versus BLU per density,
+// averaged over placements: throughput, or RB utilization.
+func testbedGains(id, title string, utilization bool) func(Options, *result) *Table {
 	cols := []string{"ht_per_ue", "pf_mbps", "blu_mbps", "throughput_gain"}
+	metric := func(o outcome) float64 { return o.ThroughputMbps }
 	if utilization {
 		cols = []string{"ht_per_ue", "pf_rb_util", "blu_rb_util", "utilization_gain"}
+		metric = func(o outcome) float64 { return o.RBUtilization }
 	}
-	t := &Table{ID: id, Title: title, Columns: cols,
-		Notes: []string{"shape: gain grows with hidden-terminal density; 1.5-2x at the high end"}}
-
-	const nUE = 4
-	sfs := opts.scaled(6000, 1200)
-	placements := opts.scaled(5, 2)
-	densities := []int{1, 2, 3}
-	// One task per (density, placement) trial; slots are row-major by
-	// density so the per-density reductions read contiguous segments.
-	pfVals := make([]float64, len(densities)*placements)
-	bluVals := make([]float64, len(densities)*placements)
-	err := opts.forEachTrial(len(pfVals), func(i int) error {
-		hPerUE, p := densities[i/placements], i%placements
-		seed := opts.Seed + uint64(hPerUE)*1000 + uint64(p)*13
-		cell, err := testbedCell(nUE, hPerUE*nUE, m, sfs, seed)
-		if err != nil {
-			return err
+	return func(_ Options, res *result) *Table {
+		t := &Table{ID: id, Title: title, Columns: cols,
+			Notes: []string{"shape: gain grows with hidden-terminal density; 1.5-2x at the high end"}}
+		for d, hPerUE := range densities {
+			pfMean, bluMean := res.mean(d, 0, metric), res.mean(d, 1, metric)
+			t.AddRow(hPerUE, pfMean, bluMean, ratio(bluMean, pfMean))
 		}
-		pf, err := sched.NewPF(cell.Env())
-		if err != nil {
-			return err
-		}
-		pfm := sim.Run(cell, pf, 0, sfs, nil)
-
-		sys, err := core.NewSystem(core.Config{T: 40, L: sfs}, cell)
-		if err != nil {
-			return err
-		}
-		rep, err := sys.Run()
-		if err != nil {
-			return err
-		}
-		if utilization {
-			pfVals[i] = pfm.RBUtilization
-			bluVals[i] = rep.Speculative.RBUtilization
-		} else {
-			pfVals[i] = pfm.ThroughputMbps
-			bluVals[i] = rep.Speculative.ThroughputMbps
-		}
-		return nil
-	})
-	if err != nil {
-		return nil, err
+		return t
 	}
-	for d, hPerUE := range densities {
-		pfMean := stats.Mean(pfVals[d*placements : (d+1)*placements])
-		bluMean := stats.Mean(bluVals[d*placements : (d+1)*placements])
-		gain := 0.0
-		if pfMean > 0 {
-			gain = bluMean / pfMean
-		}
-		t.AddRow(hPerUE, pfMean, bluMean, gain)
-	}
-	return t, nil
 }
 
-// Fig10 reproduces Fig 10: BLU's SISO throughput gains over PF on the
-// testbed as hidden terminals per UE increase (paper: 50–80% gains).
-func Fig10(opts Options) (*Table, error) {
-	return testbedGains(opts, 1, "fig10", "BLU SISO throughput gains (testbed, 4 UEs)", false)
-}
-
-// Fig11 reproduces Fig 11: the 2-user MU-MIMO throughput gains.
-func Fig11(opts Options) (*Table, error) {
-	return testbedGains(opts, 2, "fig11", "BLU MU-MIMO (M=2) throughput gains (testbed, 4 UEs)", false)
-}
-
-// Fig12 reproduces Fig 12: BLU's SISO RB-utilization gains (paper: up
-// to ~80% utilization boost).
-func Fig12(opts Options) (*Table, error) {
-	return testbedGains(opts, 1, "fig12", "BLU SISO RB utilization gains (testbed, 4 UEs)", true)
-}
-
-// Fig13 reproduces Fig 13: the MU-MIMO RB-utilization comparison.
-func Fig13(opts Options) (*Table, error) {
-	return testbedGains(opts, 2, "fig13", "BLU MU-MIMO (M=2) RB utilization (testbed, 4 UEs)", true)
-}
+// Figs 10–13 read the testbed sweeps: BLU's SISO (Figs 10, 12) and
+// 2-user MU-MIMO (Figs 11, 13) throughput and RB-utilization gains over
+// PF as hidden terminals per UE increase. The paper reports 50–80% SISO
+// throughput gains and up to ~80% utilization boost.
+var (
+	fig10 = testbedGains("fig10", "BLU SISO throughput gains (testbed, 4 UEs)", false)
+	fig11 = testbedGains("fig11", "BLU MU-MIMO (M=2) throughput gains (testbed, 4 UEs)", false)
+	fig12 = testbedGains("fig12", "BLU SISO RB utilization gains (testbed, 4 UEs)", true)
+	fig13 = testbedGains("fig13", "BLU MU-MIMO (M=2) RB utilization (testbed, 4 UEs)", true)
+)
