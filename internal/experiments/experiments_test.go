@@ -14,33 +14,34 @@ import (
 // experiment's numbers re-pins its digest and names the experiment in
 // CHANGES.md.
 var goldenDigests = map[string]string{
-	"fig4a":      "4baf5ee3044d03ac",
-	"fig4b":      "9a46b833b3c0721a",
-	"fig4c":      "7e449ed39105860a",
-	"fig10":      "16a1420f34b2c62d",
-	"fig11":      "840c169690b2df32",
-	"fig12":      "7fe52ee2f2d890b2",
-	"fig13":      "e3b110362e37312f",
-	"fig14a":     "05461ace697252d5",
-	"fig14b":     "fcabb4a46389582e",
-	"fig15":      "2ae5c23fa8e3db6f",
-	"fig16":      "ee7470df092f84df",
-	"fig17":      "d29c742e1909ddbe",
-	"fig18":      "9541d067481dabfb",
-	"overhead":   "5eccfbe5303e6bc6",
-	"ablation":   "a2967e3fcd4d042e",
-	"dl":         "bbf1ea25efc9b246",
-	"skewed":     "c9c621c5ec3022c2",
-	"noma":       "ad30b7b2821733f8",
-	"fairness":   "986bac8b49725f06",
-	"fractional": "ef03749e96ec76f9",
-	"chaos":      "125dca02a5e31c99",
+	"fig4a":      "4092b04befedffbf",
+	"fig4b":      "4b1c0d6e2e02d7f7",
+	"fig4c":      "710a6184d7d92821",
+	"fig10":      "24d07784e2e6b207",
+	"fig11":      "38957828200c198e",
+	"fig12":      "12179ab125de0a0e",
+	"fig13":      "a87071c4b587428d",
+	"fig14a":     "b5faae0aa98d4e06",
+	"fig14b":     "92db4a281c0f1b41",
+	"fig15":      "4fc94614ba84fbb6",
+	"fig16":      "646534b954273830",
+	"fig17":      "743601d40aa2449a",
+	"fig18":      "3ed5a714116435b0",
+	"overhead":   "3aad2570187dbc6d",
+	"ablation":   "6b8b4e2b1aa3b61d",
+	"dl":         "f322d086a09472fc",
+	"skewed":     "3beb56833269edcc",
+	"noma":       "b6863b0aaf19118a",
+	"fairness":   "0e38b0ae9db97978",
+	"fractional": "cc9a7ce83a70bb1b",
+	"chaos":      "037fbb524722c302",
 }
 
-// tableDigest is the FNV-1a digest of the rendered table without its
-// wall-time columns (ablation's mean_ms), which differ run to run.
+// tableDigest is the FNV-1a digest of the table's ID, title, columns
+// and rows as rendered, without its wall-time columns (ablation's
+// mean_ms), which differ run to run.
 func tableDigest(tbl *Table) string {
-	stable := *tbl
+	stable := Table{ID: tbl.ID, Title: tbl.Title, Columns: tbl.Columns, Rows: tbl.Rows}
 	if i := slices.Index(tbl.Columns, "mean_ms"); i >= 0 {
 		stable.Columns = slices.Delete(slices.Clone(tbl.Columns), i, i+1)
 		stable.Rows = nil
