@@ -21,8 +21,13 @@
 //	               -faults stall,loss chaos`)
 //
 // Each experiment prints a table whose rows mirror the series the
-// corresponding paper figure plots; EXPERIMENTS.md records the
-// paper-vs-measured comparison.
+// corresponding paper figure plots, then one line per claim the paper
+// makes about it, checked against those rows:
+//
+//	claim NAME: holds|FAILS (margin) — the paper's words, with the threshold
+//
+// A claim holds when its margin is at least 0. EXPERIMENTS.md quotes
+// these lines from the recorded run in experiments_full.txt.
 package main
 
 import (

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"slices"
 	"strings"
 
 	"blu/internal/core"
@@ -58,8 +59,11 @@ func chaosTable(o Options, res *result) *Table {
 			"scenario", "pf_mbps", "blu_mbps", "ratio",
 			"gate_trips", "max_ladder", "quarantined", "recovered_cycle",
 		},
-		Notes: []string{
-			"shape: ratio >= 0.95 under every fault; recovered_cycle is the post-fault cycle that returned to speculative (1 = first, -1 = never)",
+		claims: []claim{
+			{"graceful", "BLU ≥ 0.95× PF under every fault",
+				func(t *Table) float64 { return slices.Min(t.col("ratio")) - 0.95 }},
+			{"recovers", "the controller returns to speculative scheduling after every fault (recovered_cycle ≥ 1)",
+				func(t *Table) float64 { return slices.Min(t.col("recovered_cycle")) - 1 }},
 		},
 	}
 	for x, name := range chaosScenarios(o) {

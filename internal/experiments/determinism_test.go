@@ -1,9 +1,6 @@
 package experiments
 
-import (
-	"reflect"
-	"testing"
-)
+import "testing"
 
 // runTables runs the named experiments in one call and returns their
 // tables in run order.
@@ -20,42 +17,12 @@ func runTables(t *testing.T, opts Options, ids ...string) []*Table {
 	return tables
 }
 
-// runOne returns a runner for one experiment, run alone through Run.
-func runOne(id string) func(Options) (*Table, error) {
-	return func(opts Options) (*Table, error) {
-		var tbl *Table
-		err := Run(opts, []string{id}, func(t *Table) error {
-			tbl = t
-			return nil
-		})
-		return tbl, err
-	}
-}
-
-// The experiments the shape tests run alone.
-var (
-	Fig4a      = runOne("fig4a")
-	Fig4b      = runOne("fig4b")
-	Fig4c      = runOne("fig4c")
-	Fig10      = runOne("fig10")
-	Fig14a     = runOne("fig14a")
-	Fig15      = runOne("fig15")
-	Fig18      = runOne("fig18")
-	Overhead   = runOne("overhead")
-	Ablation   = runOne("ablation")
-	DL         = runOne("dl")
-	Skewed     = runOne("skewed")
-	NOMA       = runOne("noma")
-	Fairness   = runOne("fairness")
-	Fractional = runOne("fractional")
-)
-
 // TestExperimentTablesDeterministicAcrossParallelism runs full figures
 // at a small scale under Parallelism 1 and 8 and requires the rendered
-// tables to be deep-equal. This is the end-to-end face of the fan-out
-// contract: every trial owns its result slot and its (Seed, trial)
-// rng stream, so worker count and scheduling order must be invisible
-// in the output.
+// tables, claims included, to be identical. This is the end-to-end face
+// of the fan-out contract: every trial owns its result slot and its
+// (Seed, trial) rng stream, so worker count and scheduling order must
+// be invisible in the output.
 func TestExperimentTablesDeterministicAcrossParallelism(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full-figure determinism sweep")
@@ -71,7 +38,7 @@ func TestExperimentTablesDeterministicAcrossParallelism(t *testing.T) {
 		t.Fatalf("got %d and %d tables, want %d", len(seq), len(par), len(ids))
 	}
 	for i, id := range ids {
-		if !reflect.DeepEqual(seq[i], par[i]) {
+		if seq[i].String() != par[i].String() {
 			t.Errorf("%s: table diverges across parallelism\nsequential:\n%s\nparallel:\n%s",
 				id, seq[i], par[i])
 		}

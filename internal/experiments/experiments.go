@@ -6,15 +6,19 @@
 // that reads the same simulations. The rest are hand-written runners.
 //
 // Absolute numbers differ from the paper's (the substrate is a
-// simulator, not a WARP testbed); the quantities each harness is
-// expected to reproduce in *shape* are recorded in EXPERIMENTS.md.
+// simulator, not a WARP testbed). What each table must reproduce in
+// *shape* it declares as claims: the paper's statements with their
+// thresholds, checked against the table's own rows and printed under
+// it (claim). EXPERIMENTS.md quotes the recorded verdicts.
 package experiments
 
 import (
 	"context"
 	"fmt"
 	"io"
+	"math"
 	"slices"
+	"strconv"
 	"strings"
 
 	"blu/internal/parallel"
@@ -79,9 +83,56 @@ type Table struct {
 	Columns []string
 	// Rows hold the formatted cells.
 	Rows [][]string
-	// Notes records the shape expectations and any caveats.
-	Notes []string
+	// claims are what the paper says the rows show.
+	claims []claim
 }
+
+// A claim is one statement the paper makes about a table, its
+// threshold written into its words. It holds when its margin, read off
+// the table's rows, is at least 0; a claim with several conditions
+// returns the smallest of their margins.
+type claim struct {
+	name, words string
+	margin      func(t *Table) float64
+}
+
+// check evaluates c on t: "holds" or "FAILS", and the margin.
+func (c claim) check(t *Table) (string, float64) {
+	m := c.margin(t)
+	if m >= 0 {
+		return "holds", m
+	}
+	return "FAILS", m
+}
+
+// col returns the named column as numbers. A cell that is not a number
+// reads NaN, and a margin that reads it is NaN, which fails.
+func (t *Table) col(name string) []float64 {
+	i := slices.Index(t.Columns, name)
+	xs := make([]float64, len(t.Rows))
+	for r, row := range t.Rows {
+		xs[r] = math.NaN()
+		if i >= 0 && i < len(row) {
+			if v, err := strconv.ParseFloat(row[i], 64); err == nil {
+				xs[r] = v
+			}
+		}
+	}
+	return xs
+}
+
+// every is the smallest margin f(r) over the rows r: a condition that
+// must hold in every row.
+func (t *Table) every(f func(r int) float64) float64 {
+	m := math.Inf(1)
+	for r := range t.Rows {
+		m = min(m, f(r))
+	}
+	return m
+}
+
+// last is the final element of xs: the far end of a table's axis.
+func last(xs []float64) float64 { return xs[len(xs)-1] }
 
 // AddRow appends a formatted row; values are rendered with %v, floats
 // with three decimals.
@@ -128,8 +179,9 @@ func (t *Table) Fprint(w io.Writer) {
 	for _, row := range t.Rows {
 		printRow(row)
 	}
-	for _, n := range t.Notes {
-		fmt.Fprintf(w, "note: %s\n", n)
+	for _, c := range t.claims {
+		outcome, m := c.check(t)
+		fmt.Fprintf(w, "claim %s: %s (%+.3f) — %s\n", c.name, outcome, m, c.words)
 	}
 }
 

@@ -1,12 +1,16 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"hash/fnv"
 	"runtime"
 	"slices"
+	"strings"
 	"sync"
 	"testing"
+
+	"blu/internal/parallel"
 )
 
 // goldenDigests pins the FNV-1a digest of every experiment's table at
@@ -56,14 +60,17 @@ func tableDigest(tbl *Table) string {
 
 // smallScaleTables runs every experiment once, at Seed 3 and Scale
 // 0.05, for the tests that read the whole set.
-var smallScaleTables = sync.OnceValues(func() (map[string]*Table, error) {
+var smallScaleTables = sync.OnceValues(func() (map[string]*Table, error) { return smallScale(3) })
+
+// smallScale runs every experiment at seed and Scale 0.05, by ID.
+func smallScale(seed uint64) (map[string]*Table, error) {
 	tables := map[string]*Table{}
-	err := Run(Options{Seed: 3, Scale: 0.05}, IDs(), func(tbl *Table) error {
+	err := Run(Options{Seed: seed, Scale: 0.05}, IDs(), func(tbl *Table) error {
 		tables[tbl.ID] = tbl
 		return nil
 	})
 	return tables, err
-})
+}
 
 // TestAllExperimentsSmallScale checks every experiment's table for
 // structure — present, non-empty, every row as wide as the header — on
@@ -110,6 +117,105 @@ func TestExperimentGoldens(t *testing.T) {
 		if got := tableDigest(tables[id]); got != goldenDigests[id] {
 			t.Errorf("%s: table digest %s, golden %q — the experiment's numbers moved:\n%s",
 				id, got, goldenDigests[id], tables[id])
+		}
+	}
+}
+
+// goldenClaims pins every claim's outcome at Seeds 1, 3 and 4242,
+// Scale 0.05, keyed ID/name. A change that moves an outcome re-pins it
+// and names the claim in CHANGES.md, as for a digest.
+var goldenClaims = map[string]string{
+	"fig4a/loss-grows":            "holds holds holds",
+	"fig4b/full-collapses":        "holds holds holds",
+	"fig4c/lte-over-2x":           "holds holds holds",
+	"fig10/gain-grows":            "holds holds holds",
+	"fig10/gain-at-3":             "holds holds holds",
+	"fig11/gain-grows":            "holds holds holds",
+	"fig11/gain-at-3":             "FAILS holds holds",
+	"fig12/gain-grows":            "holds holds holds",
+	"fig12/gain-at-3":             "holds holds holds",
+	"fig13/gain-grows":            "holds holds holds",
+	"fig13/gain-at-3":             "FAILS holds holds",
+	"fig14a/median-acc":           "holds holds holds",
+	"fig14a/ge90-share":           "holds holds holds",
+	"fig14b/median-acc":           "FAILS FAILS FAILS",
+	"fig14b/ge90-share":           "FAILS FAILS FAILS",
+	"fig15/blu-over-pf":           "holds holds holds",
+	"fig15/blu-over-aa":           "holds holds holds",
+	"fig15/aa-not-above-pf":       "FAILS FAILS FAILS",
+	"fig16/inferred-near-perfect": "FAILS holds holds",
+	"fig16/gain-grows":            "holds holds FAILS",
+	"fig16/gain-at-24":            "holds holds FAILS",
+	"fig17/blu-grows-with-m":      "holds holds holds",
+	"fig17/blu-at-m4":             "holds holds holds",
+	"fig17/blu-over-aa":           "holds holds holds",
+	"fig17/aa-near-1x":            "FAILS FAILS FAILS",
+	"fig18/pf-half-idle":          "holds FAILS FAILS",
+	"fig18/blu-over-pf":           "holds holds holds",
+	"fig18/siso-gain":             "holds holds holds",
+	"fig18/aa-no-better":          "FAILS FAILS FAILS",
+	"overhead/alg1-near-fmin":     "holds holds holds",
+	"overhead/joint-explodes":     "holds holds holds",
+	"ablation/repair-vs-mcmc":     "holds holds holds",
+	"dl/aa-cuts-collisions":       "holds holds holds",
+	"dl/aa-no-loss":               "holds holds holds",
+	"skewed/pairs-degrade":        "holds holds holds",
+	"skewed/triples-recover":      "FAILS holds FAILS",
+	"noma/fewer-collisions":       "holds holds holds",
+	"noma/no-loss":                "holds holds holds",
+	"fairness/pf-utility-kept":    "holds holds holds",
+	"fractional/binary-exact":     "holds holds holds",
+	"fractional/p-error-small":    "holds holds holds",
+	"chaos/graceful":              "holds holds holds",
+	"chaos/recovers":              "holds holds holds",
+}
+
+// TestClaims evaluates every table's claims at three seeds, at one
+// small scale for all of them, and fails when an outcome differs from
+// its pin or a claim is not pinned. A claim that holds at paper scale
+// but not on small samples is pinned FAILS where it fails. The pins
+// hold on amd64 only, like the digests.
+func TestClaims(t *testing.T) {
+	if testing.Short() {
+		t.Skip("experiment sweep")
+	}
+	if runtime.GOARCH != "amd64" {
+		t.Skipf("claim outcomes skipped on %s (FP fusing may flip near-ties)", runtime.GOARCH)
+	}
+	// The seeds run side by side: one run alone leaves cores idle on its
+	// longest sweep.
+	seeds := []uint64{1, 3, 4242}
+	runs := make([]map[string]*Table, len(seeds))
+	err := parallel.ForEach(context.Background(), len(seeds), len(seeds), func(i int) (err error) {
+		if seeds[i] == 3 {
+			runs[i], err = smallScaleTables()
+		} else {
+			runs[i], err = smallScale(seeds[i])
+		}
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	outcomes, margins := map[string][]string{}, map[string][]float64{}
+	for _, tables := range runs {
+		for _, id := range IDs() {
+			for _, c := range tables[id].claims {
+				key := id + "/" + c.name
+				outcome, m := c.check(tables[id])
+				outcomes[key] = append(outcomes[key], outcome)
+				margins[key] = append(margins[key], m)
+			}
+		}
+	}
+	for key, outs := range outcomes {
+		if got, want := strings.Join(outs, " "), goldenClaims[key]; got != want {
+			t.Errorf("%s at seeds 1, 3, 4242: %s, margins %.3f; pinned %q", key, got, margins[key], want)
+		}
+	}
+	for key := range goldenClaims {
+		if outcomes[key] == nil {
+			t.Errorf("%s is pinned but no table declares it", key)
 		}
 	}
 }

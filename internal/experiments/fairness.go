@@ -39,9 +39,11 @@ func fairnessTable(_ Options, res *result) *Table {
 		ID:      "fairness",
 		Title:   "PF-principle adherence: Jain index and PF log-utility",
 		Columns: []string{"ht_per_ue", "pf_jain", "blu_jain", "pf_log_utility", "blu_log_utility"},
-		Notes: []string{
-			"shape: BLU's PF utility (Σ log R_i) beats the PF scheduler's own — utilization gains are not bought by starving clients",
-		},
+		claims: []claim{{"pf-utility-kept", "BLU's Σ log R_i ≥ the PF scheduler's own − 2 in every row (paper: adheres to the PF principle)",
+			func(t *Table) float64 {
+				pf, blu := t.col("pf_log_utility"), t.col("blu_log_utility")
+				return t.every(func(r int) float64 { return blu[r] - pf[r] + 2 })
+			}}},
 	}
 	// The controller's metrics cover its speculative subframes only, so
 	// each arm's rates are over the subframes its metrics span.

@@ -1,6 +1,8 @@
 package experiments
 
 import (
+	"slices"
+
 	"blu/internal/lte"
 	"blu/internal/rng"
 	"blu/internal/sim"
@@ -54,8 +56,13 @@ func nomaTable(_ Options, res *result) *Table {
 		ID:      "noma",
 		Title:   "Speculative scheduling under orthogonal vs NOMA (SIC) reception, SISO",
 		Columns: []string{"ht_per_ue", "blu_oma_mbps", "blu_noma_mbps", "noma_gain", "oma_collisions", "noma_collisions"},
-		Notes: []string{
-			"shape: NOMA recovers part of the over-scheduling collisions; gain grows with interference",
+		claims: []claim{
+			{"fewer-collisions", "NOMA collisions at or below orthogonal ones in every row", func(t *Table) float64 {
+				oma, noma := t.col("oma_collisions"), t.col("noma_collisions")
+				return t.every(func(r int) float64 { return oma[r] - noma[r] })
+			}},
+			{"no-loss", "NOMA throughput ≥ 0.95× orthogonal in every row",
+				func(t *Table) float64 { return slices.Min(t.col("noma_gain")) - 0.95 }},
 		},
 	}
 	for i, hPerUE := range densities {

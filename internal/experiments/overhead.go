@@ -1,6 +1,8 @@
 package experiments
 
 import (
+	"math"
+	"slices"
 	"time"
 
 	"blu/internal/access"
@@ -21,8 +23,22 @@ func overhead(opts Options) (*Table, error) {
 		ID:      "overhead",
 		Title:   "Measurement overhead: Algorithm 1 vs bounds (T samples per tuple)",
 		Columns: []string{"n", "k", "t", "f_min", "alg1_tmax", "ratio", "joint6_subframes"},
-		Notes: []string{
-			"shape: Alg-1 within a small constant of F_min; joint measurement cost explodes with tuple size",
+		claims: []claim{
+			{"alg1-near-fmin", "1 ≤ t_max/F_min ≤ 2.5 in every row (paper: t_max ≈ 340 = F_min at N=20)",
+				func(t *Table) float64 {
+					r := t.col("ratio")
+					return min(slices.Min(r)-1, 2.5-slices.Max(r))
+				}},
+			{"joint-explodes", "6-client joints cost ≥ 10× F_min wherever N > K+2 (paper: ≈ 1384·T at N=20)",
+				func(t *Table) float64 {
+					n, k, fmin, joint6 := t.col("n"), t.col("k"), t.col("f_min"), t.col("joint6_subframes")
+					return t.every(func(r int) float64 {
+						if n[r] <= k[r]+2 {
+							return math.Inf(1)
+						}
+						return joint6[r]/fmin[r] - 10
+					})
+				}},
 		},
 	}
 	cases := []struct{ n, k, t int }{
@@ -50,9 +66,11 @@ func ablation(opts Options) (*Table, error) {
 		ID:      "ablation",
 		Title:   "Inference ablation: deterministic constraint-repair vs MCMC",
 		Columns: []string{"method", "mean_acc", "median_acc", "mean_ms"},
-		Notes: []string{
-			"shape: deterministic inference at least as accurate as MCMC at a fraction of the time",
-		},
+		claims: []claim{{"repair-vs-mcmc", "constraint repair's mean accuracy within 0.1 of MCMC's, in less time",
+			func(t *Table) float64 {
+				acc, ms := t.col("mean_acc"), t.col("mean_ms")
+				return min(acc[0]-acc[1]+0.1, 1-ms[0]/ms[1])
+			}}},
 	}
 	cases := opts.scaled(24, 6)
 	r := rng.New(opts.Seed)

@@ -37,9 +37,14 @@ func testbedGains(id, title string, utilization bool) func(Options, *result) *Ta
 		cols = []string{"ht_per_ue", "pf_rb_util", "blu_rb_util", "utilization_gain"}
 		metric = func(o outcome) float64 { return o.RBUtilization }
 	}
+	gain := cols[3]
 	return func(_ Options, res *result) *Table {
-		t := &Table{ID: id, Title: title, Columns: cols,
-			Notes: []string{"shape: gain grows with hidden-terminal density; 1.5-2x at the high end"}}
+		t := &Table{ID: id, Title: title, Columns: cols, claims: []claim{
+			{"gain-grows", "gain at 3 hidden terminals per UE ≥ gain at 1",
+				func(t *Table) float64 { g := t.col(gain); return last(g) - g[0] }},
+			{"gain-at-3", "gain ≥ 1.3× at 3 hidden terminals per UE (paper: 1.5–1.8×)",
+				func(t *Table) float64 { return last(t.col(gain)) - 1.3 }},
+		}}
 		for d, hPerUE := range densities {
 			pfMean, bluMean := res.mean(d, 0, metric), res.mean(d, 1, metric)
 			t.AddRow(hPerUE, pfMean, bluMean, ratio(bluMean, pfMean))
