@@ -30,3 +30,59 @@ func TestDocsNameLivePaths(t *testing.T) {
 		}
 	}
 }
+
+// quotedClaim matches a claim line quoted in a document: `claim …`.
+var quotedClaim = regexp.MustCompile("`(claim [^`]*)`")
+
+// TestDocsQuoteTheRecord fails when EXPERIMENTS.md or README.md quotes
+// a run that experiments_full.txt, the recorded paper-scale run, does
+// not hold: a fenced block under EXPERIMENTS.md's "Recorded runs" or a
+// quoted claim line that is not in the record verbatim, or a verdict
+// row that says "reproduced" (and not "not reproduced") without
+// quoting a claim, or quoting one that fails.
+func TestDocsQuoteTheRecord(t *testing.T) {
+	read := func(name string) string {
+		b, err := os.ReadFile(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(b)
+	}
+	record, experiments := read("experiments_full.txt"), read("EXPERIMENTS.md")
+	_, runs, ok := strings.Cut(experiments, "Recorded runs")
+	if !ok {
+		t.Fatal(`EXPERIMENTS.md has no "Recorded runs"`)
+	}
+	runs, _, _ = strings.Cut(runs, "\n## ")
+	blocks := regexp.MustCompile("(?s)```\n(.*?)```").FindAllStringSubmatch(runs, -1)
+	if len(blocks) == 0 {
+		t.Error(`no fenced block under "Recorded runs"`)
+	}
+	for _, b := range blocks {
+		if !strings.Contains(record, b[1]) {
+			t.Errorf("recorded run not in experiments_full.txt:\n%s", b[1])
+		}
+	}
+	for doc, text := range map[string]string{"EXPERIMENTS.md": experiments, "README.md": read("README.md")} {
+		for _, q := range quotedClaim.FindAllStringSubmatch(text, -1) {
+			if !strings.Contains(record, "\n"+q[1]+"\n") {
+				t.Errorf("%s quotes a claim line not in experiments_full.txt: %s", doc, q[1])
+			}
+		}
+	}
+	for _, row := range strings.Split(experiments, "\n") {
+		verdict := strings.ToLower(row)
+		if !strings.HasPrefix(row, "|") || !strings.Contains(verdict, "reproduced") || strings.Contains(verdict, "not reproduced") {
+			continue
+		}
+		quoted := quotedClaim.FindAllStringSubmatch(row, -1)
+		if len(quoted) == 0 {
+			t.Errorf("verdict says reproduced but quotes no claim: %s", row)
+		}
+		for _, q := range quoted {
+			if !strings.Contains(q[1], ": holds (") {
+				t.Errorf("verdict says reproduced but quotes a claim that fails: %s", q[1])
+			}
+		}
+	}
+}
