@@ -9,7 +9,7 @@
 // simulator, not a WARP testbed). What each table must reproduce in
 // *shape* it declares as claims: the paper's statements with their
 // thresholds, checked against the table's own rows and printed under
-// it (claim). EXPERIMENTS.md quotes the recorded verdicts.
+// it. EXPERIMENTS.md quotes the recorded verdicts.
 package experiments
 
 import (
@@ -105,14 +105,15 @@ func (c claim) check(t *Table) (string, float64) {
 	return "FAILS", m
 }
 
-// col returns the named column as numbers. A cell that is not a number
-// reads NaN, and a margin that reads it is NaN, which fails.
+// col returns the named column as numbers. A cell that is not a number,
+// or a column t does not have, reads NaN, and a margin that reads it is
+// NaN, which fails.
 func (t *Table) col(name string) []float64 {
 	i := slices.Index(t.Columns, name)
 	xs := make([]float64, len(t.Rows))
 	for r, row := range t.Rows {
 		xs[r] = math.NaN()
-		if i >= 0 && i < len(row) {
+		if i >= 0 {
 			if v, err := strconv.ParseFloat(row[i], 64); err == nil {
 				xs[r] = v
 			}
