@@ -219,3 +219,65 @@ func TestClaims(t *testing.T) {
 		}
 	}
 }
+
+// requireClaims runs experiment id alone at opts and fails unless each
+// named claim of its table holds there.
+func requireClaims(t *testing.T, id string, opts Options, names ...string) {
+	t.Helper()
+	tbl := runTables(t, opts, id)[0]
+	for _, name := range names {
+		i := slices.IndexFunc(tbl.claims, func(c claim) bool { return c.name == name })
+		if i < 0 {
+			t.Fatalf("%s declares no claim %q", id, name)
+		}
+		if outcome, m := tbl.claims[i].check(tbl); outcome != "holds" {
+			t.Errorf("%s/%s %s (%+.3f) at seed %d, scale %v — %s\n%s",
+				id, name, outcome, m, opts.Seed, opts.Scale, tbl.claims[i].words, tbl)
+		}
+	}
+}
+
+// The figure tests check their table's claims at a seed and scale of
+// their own, beside TestClaims' shared seeds and scale.
+func TestFig4aShapeLossGrowsWithHTs(t *testing.T) {
+	requireClaims(t, "fig4a", Options{Seed: 11, Scale: 0.2}, "loss-grows")
+}
+func TestFig4bShapeFullOccupancyCollapses(t *testing.T) {
+	requireClaims(t, "fig4b", Options{Seed: 11, Scale: 0.2}, "full-collapses")
+}
+func TestFig4cShapeLTEAtLeastTwiceWiFi(t *testing.T) {
+	requireClaims(t, "fig4c", Options{Seed: 11, Scale: 0.5}, "lte-over-2x")
+}
+func TestFig10ShapeGainGrowsWithDensity(t *testing.T) {
+	requireClaims(t, "fig10", Options{Seed: 11, Scale: 0.2}, "gain-grows", "gain-at-3")
+}
+func TestFig14aShapeHighAccuracy(t *testing.T) {
+	requireClaims(t, "fig14a", Options{Seed: 11, Scale: 0.12}, "median-acc")
+}
+func TestFig15ShapeBLUWins(t *testing.T) {
+	requireClaims(t, "fig15", Options{Seed: 11, Scale: 0.2}, "blu-over-pf", "blu-over-aa")
+}
+func TestFig18ShapeBLUUtilization(t *testing.T) {
+	requireClaims(t, "fig18", Options{Seed: 11, Scale: 0.15}, "blu-over-pf", "siso-gain")
+}
+func TestOverheadShape(t *testing.T) {
+	requireClaims(t, "overhead", Options{Seed: 1}, "alg1-near-fmin", "joint-explodes")
+}
+func TestAblationShape(t *testing.T) {
+	requireClaims(t, "ablation", Options{Seed: 1, Scale: 0.3}, "repair-vs-mcmc")
+}
+func TestDLShapeAccessAwareCutsCollisions(t *testing.T) {
+	requireClaims(t, "dl", Options{Seed: 9, Scale: 0.2}, "aa-cuts-collisions", "aa-no-loss")
+}
+func TestSkewedShapeTriplesRecoverAccuracy(t *testing.T) {
+	requireClaims(t, "skewed", Options{Seed: 9, Scale: 0.4}, "triples-recover")
+}
+func TestNOMAShapeRecoversCollisions(t *testing.T) {
+	requireClaims(t, "noma", Options{Seed: 9, Scale: 0.2}, "fewer-collisions", "no-loss")
+}
+func TestFairnessShapePFUtilityPreserved(t *testing.T) {
+	requireClaims(t, "fairness", Options{Seed: 9, Scale: 0.2}, "pf-utility-kept")
+}
+func TestFractionalShapeGracefulDegradation(t *testing.T) {
+	requireClaims(t, "fractional", Options{Seed: 9, Scale: 0.4}, "binary-exact", "p-error-small")
+}
