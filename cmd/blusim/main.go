@@ -22,12 +22,12 @@
 //
 // Each experiment prints a table whose rows mirror the series the
 // corresponding paper figure plots, then one line per claim the paper
-// makes about it, checked against those rows:
+// makes about it, checked against those rows and holding when its
+// margin is at least 0:
 //
 //	claim NAME: holds|FAILS (margin) — the paper's words, with the threshold
 //
-// A claim holds when its margin is at least 0. EXPERIMENTS.md quotes
-// these lines from the recorded run in experiments_full.txt.
+// EXPERIMENTS.md quotes these lines from the recorded run.
 package main
 
 import (

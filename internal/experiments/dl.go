@@ -39,10 +39,8 @@ func dlTable(_ Options, res *result) *Table {
 		Title:   "Downlink: PF vs blueprint-driven access-aware scheduling",
 		Columns: []string{"config", "pf_mbps", "aa_mbps", "aa_gain", "pf_collision_rate", "aa_collision_rate"},
 		claims: []claim{
-			{"aa-cuts-collisions", "AA's collision rate at or below PF's in every row", func(t *Table) float64 {
-				pf, aa := t.col("pf_collision_rate"), t.col("aa_collision_rate")
-				return t.every(func(r int) float64 { return pf[r] - aa[r] })
-			}},
+			{"aa-cuts-collisions", "AA's collision rate at or below PF's in every row",
+				func(t *Table) float64 { return t.diff("pf_collision_rate", "aa_collision_rate") }},
 			{"aa-no-loss", "AA's throughput ≥ 0.98× PF's in every row (no over-scheduling is possible on DL)",
 				func(t *Table) float64 { return slices.Min(t.col("aa_gain")) - 0.98 }},
 		},

@@ -34,18 +34,12 @@ func fig15(_ Options, res *result) *Table {
 		Title:   "SISO throughput, perfect joint-access knowledge (24 UEs, K=10)",
 		Columns: []string{"scheduler", "throughput_mbps", "gain_over_pf"},
 		claims: []claim{
-			{"blu-over-pf", "BLU ≥ 1.4× PF (paper: 1.8×)", func(t *Table) float64 {
-				mbps := t.col("throughput_mbps")
-				return mbps[2]/mbps[0] - 1.4
-			}},
-			{"blu-over-aa", "BLU above AA (paper: 1.9×)", func(t *Table) float64 {
-				mbps := t.col("throughput_mbps")
-				return mbps[2]/mbps[1] - 1
-			}},
-			{"aa-not-above-pf", "AA at or below PF (paper: 3.5 against 3.8 Mbps)", func(t *Table) float64 {
-				mbps := t.col("throughput_mbps")
-				return 1 - mbps[1]/mbps[0]
-			}},
+			{"blu-over-pf", "BLU ≥ 1.4× PF (paper: 1.8×)",
+				func(t *Table) float64 { m := t.col("throughput_mbps"); return m[2]/m[0] - 1.4 }},
+			{"blu-over-aa", "BLU at or above AA (paper: 1.9×)",
+				func(t *Table) float64 { m := t.col("throughput_mbps"); return m[2]/m[1] - 1 }},
+			{"aa-not-above-pf", "AA at or below PF (paper: 3.5 against 3.8 Mbps)",
+				func(t *Table) float64 { m := t.col("throughput_mbps"); return 1 - m[1]/m[0] }},
 		},
 	}
 	t.AddRow("PF", pf.ThroughputMbps, 1.0)
@@ -132,10 +126,8 @@ func fig17(_ Options, res *result) *Table {
 				func(t *Table) float64 { g := t.col("blu_gain"); return last(g) - g[0] }},
 			{"blu-at-m4", "BLU's gain ≥ 1.5× at M=4 (paper: ~2×)",
 				func(t *Table) float64 { return last(t.col("blu_gain")) - 1.5 }},
-			{"blu-over-aa", "BLU's gain above AA's at every M", func(t *Table) float64 {
-				blu, aa := t.col("blu_gain"), t.col("aa_gain")
-				return t.every(func(r int) float64 { return blu[r] - aa[r] })
-			}},
+			{"blu-over-aa", "BLU's gain above AA's at every M",
+				func(t *Table) float64 { return above(t.diff("blu_gain", "aa_gain"), 0) }},
 			{"aa-near-1x", "AA's gain ≤ 1.1× at every M (paper: ≈ 1×)",
 				func(t *Table) float64 { return 1.1 - slices.Max(t.col("aa_gain")) }},
 		},
@@ -159,17 +151,12 @@ func fig18(_ Options, res *result) *Table {
 		claims: []claim{
 			{"pf-half-idle", "PF uses ≤ 0.5 of its RBs at every M (paper: about half idle)",
 				func(t *Table) float64 { return 0.5 - slices.Max(t.col("pf_util")) }},
-			{"blu-over-pf", "BLU's utilization above PF's at every M", func(t *Table) float64 {
-				blu, pf := t.col("blu_util"), t.col("pf_util")
-				return t.every(func(r int) float64 { return blu[r] - pf[r] })
-			}},
+			{"blu-over-pf", "BLU's utilization above PF's at every M",
+				func(t *Table) float64 { return above(t.diff("blu_util", "pf_util"), 0) }},
 			{"siso-gain", "SISO BLU/PF utilization ≥ 1.5 (paper: ≈ 2×)",
 				func(t *Table) float64 { return t.col("blu_gain")[0] - 1.5 }},
 			{"aa-no-better", "AA's utilization at or below PF's at every M (paper: AA does not improve it)",
-				func(t *Table) float64 {
-					aa, pf := t.col("aa_util"), t.col("pf_util")
-					return t.every(func(r int) float64 { return pf[r] - aa[r] })
-				}},
+				func(t *Table) float64 { return t.diff("pf_util", "aa_util") }},
 		},
 	}
 	for x, m := range sweepMs {

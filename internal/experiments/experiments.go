@@ -135,6 +135,18 @@ func (t *Table) every(f func(r int) float64) float64 {
 // last is the final element of xs: the far end of a table's axis.
 func last(xs []float64) float64 { return xs[len(xs)-1] }
 
+// diff is the smallest difference a[r] - b[r] of columns a and b over
+// the rows r: at least 0 when a is at or above b in every row.
+func (t *Table) diff(a, b string) float64 {
+	x, y := t.col(a), t.col(b)
+	return t.every(func(r int) float64 { return x[r] - y[r] })
+}
+
+// above is the margin of a > b for cells rendered to three decimals: a
+// must lead b by one unit in the last place. It counts in thousandths,
+// so equal cells fail and a one-unit lead holds exactly.
+func above(a, b float64) float64 { return math.Round(1000*(a-b))/1000 - 0.001 }
+
 // AddRow appends a formatted row; values are rendered with %v, floats
 // with three decimals.
 func (t *Table) AddRow(cells ...interface{}) {

@@ -170,23 +170,13 @@ var goldenClaims = map[string]string{
 	"chaos/recovers":              "holds holds holds",
 }
 
-// TestClaims evaluates every table's claims at three seeds, at one
-// small scale for all of them, and fails when an outcome differs from
-// its pin or a claim is not pinned. A claim that holds at paper scale
-// but not on small samples is pinned FAILS where it fails. The pins
-// hold on amd64 only, like the digests.
-func TestClaims(t *testing.T) {
-	if testing.Short() {
-		t.Skip("experiment sweep")
-	}
-	if runtime.GOARCH != "amd64" {
-		t.Skipf("claim outcomes skipped on %s (FP fusing may flip near-ties)", runtime.GOARCH)
-	}
-	// The seeds run side by side: one run alone leaves cores idle on its
-	// longest sweep.
+// claimRuns runs every experiment at Seeds 1, 3 and 4242, Scale 0.05,
+// for the claim tests; seed 3 is smallScaleTables. The seeds run side
+// by side: one run alone leaves cores idle on its longest sweep.
+var claimRuns = sync.OnceValues(func() ([]map[string]*Table, error) {
 	seeds := []uint64{1, 3, 4242}
 	runs := make([]map[string]*Table, len(seeds))
-	err := parallel.ForEach(context.Background(), len(seeds), len(seeds), func(i int) (err error) {
+	return runs, parallel.ForEach(context.Background(), len(seeds), len(seeds), func(i int) (err error) {
 		if seeds[i] == 3 {
 			runs[i], err = smallScaleTables()
 		} else {
@@ -194,90 +184,63 @@ func TestClaims(t *testing.T) {
 		}
 		return err
 	})
+})
+
+// checkClaims fails when a claim of the tables ids has an outcome at
+// claimRuns' seeds other than its pin, or is not pinned, and returns
+// how many claims it checked. The pins hold on amd64 only, like the
+// digests.
+func checkClaims(t *testing.T, ids ...string) int {
+	t.Helper()
+	if testing.Short() {
+		t.Skip("experiment sweep")
+	}
+	if runtime.GOARCH != "amd64" {
+		t.Skipf("claim outcomes skipped on %s (FP fusing may flip near-ties)", runtime.GOARCH)
+	}
+	runs, err := claimRuns()
 	if err != nil {
 		t.Fatal(err)
 	}
-	outcomes, margins := map[string][]string{}, map[string][]float64{}
-	for _, tables := range runs {
-		for _, id := range IDs() {
-			for _, c := range tables[id].claims {
-				key := id + "/" + c.name
-				outcome, m := c.check(tables[id])
-				outcomes[key] = append(outcomes[key], outcome)
-				margins[key] = append(margins[key], m)
+	n := 0
+	for _, id := range ids {
+		for i, c := range runs[0][id].claims {
+			var outcomes, margins []string
+			for _, tables := range runs {
+				outcome, m := tables[id].claims[i].check(tables[id])
+				outcomes, margins = append(outcomes, outcome), append(margins, fmt.Sprintf("%+.3f", m))
 			}
+			if key := id + "/" + c.name; strings.Join(outcomes, " ") != goldenClaims[key] {
+				t.Errorf("%s at seeds 1, 3, 4242: %s, margins %s; pinned %q", key, outcomes, margins, goldenClaims[key])
+			}
+			n++
 		}
 	}
-	for key, outs := range outcomes {
-		if got, want := strings.Join(outs, " "), goldenClaims[key]; got != want {
-			t.Errorf("%s at seeds 1, 3, 4242: %s, margins %.3f; pinned %q", key, got, margins[key], want)
-		}
-	}
-	for key := range goldenClaims {
-		if outcomes[key] == nil {
-			t.Errorf("%s is pinned but no table declares it", key)
-		}
+	return n
+}
+
+// TestClaims checks every table's claims at three seeds, at one small
+// scale for all of them. A claim that holds at paper scale but not on
+// small samples is pinned FAILS where it fails.
+func TestClaims(t *testing.T) {
+	if n := checkClaims(t, IDs()...); n != len(goldenClaims) {
+		t.Errorf("%d claims declared, %d pinned", n, len(goldenClaims))
 	}
 }
 
-// requireClaims runs experiment id alone at opts and fails unless each
-// named claim of its table holds there.
-func requireClaims(t *testing.T, id string, opts Options, names ...string) {
-	t.Helper()
-	tbl := runTables(t, opts, id)[0]
-	for _, name := range names {
-		i := slices.IndexFunc(tbl.claims, func(c claim) bool { return c.name == name })
-		if i < 0 {
-			t.Fatalf("%s declares no claim %q", id, name)
-		}
-		if outcome, m := tbl.claims[i].check(tbl); outcome != "holds" {
-			t.Errorf("%s/%s %s (%+.3f) at seed %d, scale %v — %s\n%s",
-				id, name, outcome, m, opts.Seed, opts.Scale, tbl.claims[i].words, tbl)
-		}
-	}
-}
-
-// The figure tests check their table's claims at a seed and scale of
-// their own, beside TestClaims' shared seeds and scale.
-func TestFig4aShapeLossGrowsWithHTs(t *testing.T) {
-	requireClaims(t, "fig4a", Options{Seed: 11, Scale: 0.2}, "loss-grows")
-}
-func TestFig4bShapeFullOccupancyCollapses(t *testing.T) {
-	requireClaims(t, "fig4b", Options{Seed: 11, Scale: 0.2}, "full-collapses")
-}
-func TestFig4cShapeLTEAtLeastTwiceWiFi(t *testing.T) {
-	requireClaims(t, "fig4c", Options{Seed: 11, Scale: 0.5}, "lte-over-2x")
-}
-func TestFig10ShapeGainGrowsWithDensity(t *testing.T) {
-	requireClaims(t, "fig10", Options{Seed: 11, Scale: 0.2}, "gain-grows", "gain-at-3")
-}
-func TestFig14aShapeHighAccuracy(t *testing.T) {
-	requireClaims(t, "fig14a", Options{Seed: 11, Scale: 0.12}, "median-acc")
-}
-func TestFig15ShapeBLUWins(t *testing.T) {
-	requireClaims(t, "fig15", Options{Seed: 11, Scale: 0.2}, "blu-over-pf", "blu-over-aa")
-}
-func TestFig18ShapeBLUUtilization(t *testing.T) {
-	requireClaims(t, "fig18", Options{Seed: 11, Scale: 0.15}, "blu-over-pf", "siso-gain")
-}
-func TestOverheadShape(t *testing.T) {
-	requireClaims(t, "overhead", Options{Seed: 1}, "alg1-near-fmin", "joint-explodes")
-}
-func TestAblationShape(t *testing.T) {
-	requireClaims(t, "ablation", Options{Seed: 1, Scale: 0.3}, "repair-vs-mcmc")
-}
-func TestDLShapeAccessAwareCutsCollisions(t *testing.T) {
-	requireClaims(t, "dl", Options{Seed: 9, Scale: 0.2}, "aa-cuts-collisions", "aa-no-loss")
-}
-func TestSkewedShapeTriplesRecoverAccuracy(t *testing.T) {
-	requireClaims(t, "skewed", Options{Seed: 9, Scale: 0.4}, "triples-recover")
-}
-func TestNOMAShapeRecoversCollisions(t *testing.T) {
-	requireClaims(t, "noma", Options{Seed: 9, Scale: 0.2}, "fewer-collisions", "no-loss")
-}
-func TestFairnessShapePFUtilityPreserved(t *testing.T) {
-	requireClaims(t, "fairness", Options{Seed: 9, Scale: 0.2}, "pf-utility-kept")
-}
-func TestFractionalShapeGracefulDegradation(t *testing.T) {
-	requireClaims(t, "fractional", Options{Seed: 9, Scale: 0.4}, "binary-exact", "p-error-small")
-}
+// The figure tests keep the shape tests' names; each checks its table's
+// pins on TestClaims' runs, at no seed or scale of its own.
+func TestFig4aShapeLossGrowsWithHTs(t *testing.T)         { checkClaims(t, "fig4a") }
+func TestFig4bShapeFullOccupancyCollapses(t *testing.T)   { checkClaims(t, "fig4b") }
+func TestFig4cShapeLTEAtLeastTwiceWiFi(t *testing.T)      { checkClaims(t, "fig4c") }
+func TestFig10ShapeGainGrowsWithDensity(t *testing.T)     { checkClaims(t, "fig10") }
+func TestFig14aShapeHighAccuracy(t *testing.T)            { checkClaims(t, "fig14a") }
+func TestFig15ShapeBLUWins(t *testing.T)                  { checkClaims(t, "fig15") }
+func TestFig18ShapeBLUUtilization(t *testing.T)           { checkClaims(t, "fig18") }
+func TestOverheadShape(t *testing.T)                      { checkClaims(t, "overhead") }
+func TestAblationShape(t *testing.T)                      { checkClaims(t, "ablation") }
+func TestDLShapeAccessAwareCutsCollisions(t *testing.T)   { checkClaims(t, "dl") }
+func TestSkewedShapeTriplesRecoverAccuracy(t *testing.T)  { checkClaims(t, "skewed") }
+func TestNOMAShapeRecoversCollisions(t *testing.T)        { checkClaims(t, "noma") }
+func TestFairnessShapePFUtilityPreserved(t *testing.T)    { checkClaims(t, "fairness") }
+func TestFractionalShapeGracefulDegradation(t *testing.T) { checkClaims(t, "fractional") }

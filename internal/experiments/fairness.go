@@ -40,10 +40,7 @@ func fairnessTable(_ Options, res *result) *Table {
 		Title:   "PF-principle adherence: Jain index and PF log-utility",
 		Columns: []string{"ht_per_ue", "pf_jain", "blu_jain", "pf_log_utility", "blu_log_utility"},
 		claims: []claim{{"pf-utility-kept", "BLU's Σ log R_i ≥ the PF scheduler's own − 2 in every row (paper: adheres to the PF principle)",
-			func(t *Table) float64 {
-				pf, blu := t.col("pf_log_utility"), t.col("blu_log_utility")
-				return t.every(func(r int) float64 { return blu[r] - pf[r] + 2 })
-			}}},
+			func(t *Table) float64 { return t.diff("blu_log_utility", "pf_log_utility") + 2 }}},
 	}
 	// The controller's metrics cover its speculative subframes only, so
 	// each arm's rates are over the subframes its metrics span.

@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"math"
 
 	"blu/internal/geom"
 	"blu/internal/rng"
@@ -39,10 +38,7 @@ func fig4a(_ Options, res *result) *Table {
 		Title:   "UL spectrum (RB) utilization loss vs hidden terminals (8 UEs, PF, OFDMA)",
 		Columns: []string{"hidden_terminals", "rb_utilization", "utilization_loss_pct"},
 		claims: []claim{{"loss-grows", "loss ≤ 10% with no hidden terminals and ≥ 50% with 12 (paper: >50% with a few)",
-			func(t *Table) float64 {
-				loss := t.col("utilization_loss_pct")
-				return min(10-loss[0], last(loss)-50)
-			}}},
+			func(t *Table) float64 { loss := t.col("utilization_loss_pct"); return min(10-loss[0], last(loss)-50) }}},
 	}
 	for i, nHT := range motivationHTs {
 		util := res.at(2*i, 0).RBUtilization
@@ -61,12 +57,8 @@ func fig4b(_ Options, res *result) *Table {
 		Columns: []string{"hidden_terminals", "ofdma_full_frac", "mumimo2_full_frac"},
 		claims: []claim{{"full-collapses", "OFDMA and MU-MIMO full-occupancy fractions ≥ 0.8 with no hidden terminals, at most half that with 12",
 			func(t *Table) float64 {
-				m := math.Inf(1)
-				for _, name := range t.Columns[1:] {
-					f := t.col(name)
-					m = min(m, f[0]-0.8, f[0]/2-last(f))
-				}
-				return m
+				o, u := t.col("ofdma_full_frac"), t.col("mumimo2_full_frac")
+				return min(o[0]-0.8, u[0]-0.8, o[0]/2-last(o), u[0]/2-last(u))
 			}}},
 	}
 	for i, nHT := range motivationHTs {

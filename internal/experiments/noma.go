@@ -57,10 +57,8 @@ func nomaTable(_ Options, res *result) *Table {
 		Title:   "Speculative scheduling under orthogonal vs NOMA (SIC) reception, SISO",
 		Columns: []string{"ht_per_ue", "blu_oma_mbps", "blu_noma_mbps", "noma_gain", "oma_collisions", "noma_collisions"},
 		claims: []claim{
-			{"fewer-collisions", "NOMA collisions at or below orthogonal ones in every row", func(t *Table) float64 {
-				oma, noma := t.col("oma_collisions"), t.col("noma_collisions")
-				return t.every(func(r int) float64 { return oma[r] - noma[r] })
-			}},
+			{"fewer-collisions", "NOMA collisions at or below orthogonal ones in every row",
+				func(t *Table) float64 { return t.diff("oma_collisions", "noma_collisions") }},
 			{"no-loss", "NOMA throughput ≥ 0.95× orthogonal in every row",
 				func(t *Table) float64 { return slices.Min(t.col("noma_gain")) - 0.95 }},
 		},

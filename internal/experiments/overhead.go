@@ -25,10 +25,7 @@ func overhead(opts Options) (*Table, error) {
 		Columns: []string{"n", "k", "t", "f_min", "alg1_tmax", "ratio", "joint6_subframes"},
 		claims: []claim{
 			{"alg1-near-fmin", "1 ≤ t_max/F_min ≤ 2.5 in every row (paper: t_max ≈ 340 = F_min at N=20)",
-				func(t *Table) float64 {
-					r := t.col("ratio")
-					return min(slices.Min(r)-1, 2.5-slices.Max(r))
-				}},
+				func(t *Table) float64 { r := t.col("ratio"); return min(slices.Min(r)-1, 2.5-slices.Max(r)) }},
 			{"joint-explodes", "6-client joints cost ≥ 10× F_min wherever N > K+2 (paper: ≈ 1384·T at N=20)",
 				func(t *Table) float64 {
 					n, k, fmin, joint6 := t.col("n"), t.col("k"), t.col("f_min"), t.col("joint6_subframes")
@@ -66,10 +63,10 @@ func ablation(opts Options) (*Table, error) {
 		ID:      "ablation",
 		Title:   "Inference ablation: deterministic constraint-repair vs MCMC",
 		Columns: []string{"method", "mean_acc", "median_acc", "mean_ms"},
-		claims: []claim{{"repair-vs-mcmc", "constraint repair's mean accuracy within 0.1 of MCMC's, in less time",
+		claims: []claim{{"repair-vs-mcmc", "constraint repair's mean accuracy within 0.1 of MCMC's, in no more time",
 			func(t *Table) float64 {
-				acc, ms := t.col("mean_acc"), t.col("mean_ms")
-				return min(acc[0]-acc[1]+0.1, 1-ms[0]/ms[1])
+				a, ms := t.col("mean_acc"), t.col("mean_ms")
+				return min(a[0]-a[1]+0.1, 1-ms[0]/ms[1])
 			}}},
 	}
 	cases := opts.scaled(24, 6)

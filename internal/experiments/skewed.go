@@ -20,11 +20,11 @@ func skewed(opts Options) (*Table, error) {
 		Columns: []string{"ht_per_client", "cases", "pair_mean_acc", "triple_mean_acc", "pair_median", "triple_median"},
 		claims: []claim{
 			{"pairs-degrade", "pair-wise mean accuracy lower at h/N = 2.5 than at h/N = 1",
-				func(t *Table) float64 { a := t.col("pair_mean_acc"); return a[0] - last(a) }},
+				func(t *Table) float64 { a := t.col("pair_mean_acc"); return above(a[0], last(a)) }},
 			{"triples-recover", "with triplets, mean accuracy ≥ 0.95 and ≥ pair-wise at h/N = 2.5",
 				func(t *Table) float64 {
-					pair, triple := last(t.col("pair_mean_acc")), last(t.col("triple_mean_acc"))
-					return min(triple-0.95, triple-pair)
+					p, t3 := last(t.col("pair_mean_acc")), last(t.col("triple_mean_acc"))
+					return min(t3-0.95, t3-p)
 				}},
 		},
 	}
